@@ -77,16 +77,11 @@ bench-scale:
 	$(GO) run ./cmd/experiments $(if $(ALLOW_SINGLE_CPU),-allow-single-cpu) -windows 8 -bench-min-speedup $(BENCH_MIN_SPEEDUP) scale
 
 # Hot-path benchmark harness: per-technique activation-path ns/act and
-# allocs/act (with the serial-LFSR "before" reference), plus the full
-# pipeline per stage — generation, reference, block, bank-sharded — with
-# result-equality checks, written to BENCH_hotpath.json. Fails if any
-# act path allocates or if block dispatch is a net loss against the
-# reference driver. Set PERF_BASELINE to a committed BENCH_hotpath.json
-# to additionally fail on a >15% regression against it (CI gates against
-# the repository copy).
-PERF_BASELINE ?=
+# allocs/act (with the serial-LFSR "before" reference), written to
+# BENCH_hotpath.json. Fails if any act path allocates. The whole
+# pipeline, stage by stage, is timed by the benchmark under bench/.
 bench-hotpath:
-	$(GO) run ./cmd/experiments $(if $(PERF_BASELINE),-perf-baseline $(PERF_BASELINE)) profile
+	$(GO) run ./cmd/experiments profile
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -24,10 +24,7 @@
 //	experiments bench            — run `all` at -workers 1 and -workers N,
 //	                               verify byte-identical output, write timings
 //	experiments profile          — hot-path benchmark harness: per-technique
-//	                               act-path ns/act + allocs/act, and the
-//	                               full pipeline per stage (generation,
-//	                               reference, block, bank-sharded) with
-//	                               result-equality checks, written to
+//	                               act-path ns/act + allocs/act, written to
 //	                               BENCH_hotpath.json (optionally with
 //	                               pprof CPU/heap profiles)
 //	experiments scale            — scale-out gate: simulate a full-DIMM
@@ -92,11 +89,6 @@
 //	                  from the checkpoint instead of recomputing them
 //	-workers N        bound the campaign's concurrent simulations (default
 //	                  GOMAXPROCS)
-//	-shards N         fan each simulation's lane servicing out over N
-//	                  goroutines (bank-sharded; results are byte-identical
-//	                  at any value, 0/1 = serial). Multiplies with -workers:
-//	                  use -shards when a campaign has fewer concurrent runs
-//	                  than cores
 //	-timeout D        per-run deadline for one simulation (0 = none)
 //	-stall D          stall watchdog: cancel and retry a run whose progress
 //	                  heartbeat goes silent for D (0 = off)
@@ -132,20 +124,15 @@
 //	                  typed instead, keeping only the idempotency ledger)
 //	-profile-out PATH where `profile` writes its JSON report (default
 //	                  BENCH_hotpath.json)
-//	-perf-baseline PATH
-//	                  profile: compare the fresh report against this
-//	                  committed BENCH_hotpath.json and fail on a >15%
-//	                  regression (absolute rates on a same-shaped machine,
-//	                  speedup ratios otherwise)
 //	-cpuprofile PATH  profile: also capture a pprof CPU profile of the
-//	                  pipeline measurements
+//	                  act-path measurements
 //	-memprofile PATH  profile: also capture a pprof heap profile at exit
 //	-metrics-out PATH write the process-wide metric registry (Prometheus
 //	                  text exposition) to PATH at exit, on every exit
 //	                  path — a failed run is exactly when the flight
 //	                  recorder matters
 //	-trace-out PATH   record spans (campaign cells, run attempts,
-//	                  checkpoint flushes, shard workers, serve jobs) and
+//	                  checkpoint flushes, serve jobs) and
 //	                  write them as Chrome trace-event JSON to PATH at
 //	                  exit; load it in Perfetto (ui.perfetto.dev) or
 //	                  chrome://tracing
@@ -180,7 +167,6 @@ import (
 	"tivapromi/internal/chaostest"
 	"tivapromi/internal/dram"
 	"tivapromi/internal/hotpath"
-	"tivapromi/internal/memctrl"
 	"tivapromi/internal/obs"
 	"tivapromi/internal/report"
 	"tivapromi/internal/serve"
@@ -201,14 +187,12 @@ var (
 	geomF     = flag.String("geometry", "", "device geometry ranks x groups x banks x rows, e.g. 1x8x4x65536")
 	allow1cpu = flag.Bool("allow-single-cpu", false, "bench/scale: record timings on a single-CPU host with speedup_claimed=false")
 	workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	shardsF   = flag.Int("shards", 0, "bank-sharding goroutines inside each simulation (0/1 = serial; results are identical at any value)")
 	timeout   = flag.Duration("timeout", 0, "per-run deadline for one simulation (0 = none)")
 	stall     = flag.Duration("stall", 0, "stall watchdog: cancel+retry a run silent for this long (0 = off)")
 	retryBudg = flag.Int("retry-budget", 0, "total cell-level re-attempts for transient failures (0 = none)")
 	progress  = flag.Bool("progress", false, "stream per-cell progress to stderr")
 	benchOut  = flag.String("bench-out", "BENCH_campaign.json", "bench: JSON report path")
 	profOut   = flag.String("profile-out", "BENCH_hotpath.json", "profile: JSON report path")
-	perfBase  = flag.String("perf-baseline", "", "profile: committed baseline BENCH_hotpath.json to gate against (fail on >15% regression)")
 	cpuProf   = flag.String("cpuprofile", "", "profile: write a pprof CPU profile here")
 	memProf   = flag.String("memprofile", "", "profile: write a pprof heap profile here")
 	chSeed    = flag.Uint64("chaos-seed", 1, "chaos: master seed for the torture schedule")
@@ -434,8 +418,6 @@ type benchReport struct {
 	Trials          int     `json:"trials"`
 	CPUs            int     `json:"cpus"`
 	GoMaxProcs      int     `json:"gomaxprocs"`
-	BatchSize       int     `json:"batch_size"`
-	Shards          int     `json:"shards"`
 	WorkersParallel int     `json:"workers_parallel"`
 	SerialSeconds   float64 `json:"serial_seconds"`
 	ParallelSeconds float64 `json:"parallel_seconds"`
@@ -539,8 +521,6 @@ func (a *app) bench(ctx context.Context, path string) error {
 		Trials:          a.ev.Trials,
 		CPUs:            runtime.NumCPU(),
 		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		BatchSize:       memctrl.DefaultBatchSize,
-		Shards:          a.runner.Config.Shards,
 		WorkersParallel: par,
 		SerialSeconds:   serialDur.Seconds(),
 		ParallelSeconds: parDur.Seconds(),
@@ -686,13 +666,10 @@ func parseGeometry(s string) (dram.Params, error) {
 
 // profile runs the hot-path benchmark harness (internal/hotpath) and
 // writes its report to path. It exits with an error when any technique's
-// activation path allocates — the regression the harness exists to catch —
-// when any pipeline driver disagrees on the Result, when block dispatch
-// is a net loss against the reference driver, or (with basePath set) on
-// a >15% regression against a committed baseline report. Optional pprof
-// captures cover the pipeline measurements (CPU) and the end state
-// (heap).
-func (a *app) profile(ctx context.Context, path, basePath, cpuPath, memPath string) error {
+// activation path allocates — the regression the harness exists to catch.
+// Optional pprof captures cover the act-path measurements (CPU) and the
+// end state (heap).
+func (a *app) profile(path, cpuPath, memPath string) error {
 	if runtime.NumCPU() == 1 {
 		fmt.Fprintln(os.Stderr,
 			"experiments: profile on a single-CPU host: throughput numbers will be depressed by timer interference")
@@ -708,10 +685,7 @@ func (a *app) profile(ctx context.Context, path, basePath, cpuPath, memPath stri
 		}
 		defer pprof.StopCPUProfile()
 	}
-	rep, err := hotpath.BuildReport(ctx)
-	if err != nil {
-		return err
-	}
+	rep := hotpath.BuildReport()
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -730,31 +704,7 @@ func (a *app) profile(ctx context.Context, path, basePath, cpuPath, memPath stri
 		}
 		fmt.Fprintln(a.stdout, line)
 	}
-	for _, p := range rep.Pipeline {
-		fmt.Fprintf(a.stdout,
-			"profile: pipeline %-10s stages gen %5.1f + service %5.1f = %5.1f ns/access (ref %5.1f)  ref %10.0f acts/sec  block %10.0f acts/sec  %.2fx  match=%v\n",
-			p.Technique, p.GenNsPerAccess, p.ServiceNsPerAccess, p.BlockNsPerAccess,
-			p.RefNsPerAccess, p.RefActsPerSec, p.BlockActsPerSec, p.BlockSpeedup, p.ResultsMatch)
-		for _, sr := range p.Sharded {
-			fmt.Fprintf(a.stdout, "profile: pipeline %-10s sharded(%d) %10.0f acts/sec  %.2fx vs block\n",
-				p.Technique, sr.Shards, sr.ActsPerSec, sr.Speedup)
-		}
-	}
 	fmt.Fprintf(a.stdout, "profile: wrote %s\n", path)
-	if basePath != "" {
-		braw, err := os.ReadFile(basePath)
-		if err != nil {
-			return fmt.Errorf("profile: read baseline: %w", err)
-		}
-		var base hotpath.Report
-		if err := json.Unmarshal(braw, &base); err != nil {
-			return fmt.Errorf("profile: parse baseline %s: %w", basePath, err)
-		}
-		if err := hotpath.CheckBaseline(rep, base, 15); err != nil {
-			return err
-		}
-		fmt.Fprintf(a.stdout, "profile: within 15%% of baseline %s\n", basePath)
-	}
 	if memPath != "" {
 		f, err := os.Create(memPath)
 		if err != nil {
@@ -800,7 +750,6 @@ func main() {
 
 	runner := sim.NewRunner()
 	runner.Config.Workers = *workers
-	runner.Config.Shards = *shardsF
 	runner.Config.PerRunTimeout = *timeout
 	runner.Config.StallTimeout = *stall
 	switch {
@@ -888,7 +837,7 @@ func main() {
 		}
 		err = a.chaos(ctx, cfg)
 	case "profile":
-		err = a.profile(ctx, *profOut, *perfBase, *cpuProf, *memProf)
+		err = a.profile(*profOut, *cpuProf, *memProf)
 	case "serve":
 		err = a.serveCmd(ctx, *addr, serve.Config{
 			Workers:         *workers,

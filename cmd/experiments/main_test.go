@@ -75,31 +75,6 @@ func TestAllByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAllByteIdenticalAcrossShards pins the other parallelism axis: the
-// bank-sharded driver (-shards) must leave every rendered table
-// byte-identical, because each lane's evolution is independent of how
-// lanes are scheduled across goroutines.
-func TestAllByteIdenticalAcrossShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation pipeline; skipped in -short")
-	}
-	ev := testEval()
-	run := func(shards int) string {
-		a, buf := newTestApp(ev, 2)
-		a.runner.Config.Shards = shards
-		if err := a.runSections(context.Background(), sectionNames()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	serial := run(0)
-	sharded := run(2)
-	if serial != sharded {
-		t.Fatalf("output differs between -shards 0 and -shards 2:\n--- serial ---\n%s\n--- sharded ---\n%s",
-			firstDiff(serial, sharded), firstDiff(sharded, serial))
-	}
-}
-
 // TestKilledCampaignResumesByteIdentical kills a checkpointed run
 // mid-campaign (context cancellation, the in-process equivalent of
 // SIGINT) and checks that the resumed run completes from the checkpoint

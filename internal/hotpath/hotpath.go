@@ -1,16 +1,10 @@
-// Package hotpath is the profiling and benchmark harness for the
-// simulation core. It measures two layers:
-//
-//   - the per-mitigator activation path (OnActivate plus its share of
-//     interval work) in isolation, against a deterministic synthetic
-//     access pattern — ns/act, allocs/act, acts/sec — with a "before"
-//     reference that reruns RNG-backed techniques on the serial
-//     bit-by-bit LFSR the seed implementation stepped; and
-//   - the end-to-end simulation pipeline, stage by stage: trace
-//     generation in isolation (sim.DrainStream), the unbatched reference
-//     driver (sim.RunReferenceCtx), the serial block driver (sim.RunCtx)
-//     and the bank-sharded parallel driver (sim.RunShardedCtx), verifying
-//     every driver produces the identical Result.
+// Package hotpath is the profiling harness for the mitigation core: it
+// measures the per-mitigator activation path (OnActivate plus its share
+// of interval work) in isolation, against a deterministic synthetic
+// access pattern — ns/act, allocs/act, acts/sec — with a "before"
+// reference that reruns RNG-backed techniques on the serial bit-by-bit
+// LFSR the seed implementation stepped. The benchmark under bench/
+// times the whole simulation pipeline stage by stage from outside.
 //
 // `go run ./cmd/experiments profile` builds a Report and writes it to
 // BENCH_hotpath.json; `go test -bench . ./internal/hotpath/` runs the same
@@ -18,10 +12,7 @@
 package hotpath
 
 import (
-	"context"
-	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
@@ -31,7 +22,6 @@ import (
 	_ "tivapromi/internal/mitigation/all" // register all techniques
 	"tivapromi/internal/obs"
 	"tivapromi/internal/rng"
-	"tivapromi/internal/sim"
 )
 
 // Spec names one technique whose activation path is benchmarked.
@@ -214,328 +204,27 @@ func MeasureActPath(s Spec) Measurement {
 	return m
 }
 
-// ShardRate is one sharded-driver measurement of the pipeline.
-type ShardRate struct {
-	Shards     int     `json:"shards"`
-	ActsPerSec float64 `json:"acts_per_sec"`
-	// Speedup is relative to the serial block driver. On a single-CPU
-	// host it is expected to be below 1 (pure synchronization overhead);
-	// the CI perf-smoke job measures it at GOMAXPROCS=4.
-	Speedup float64 `json:"speedup"`
-}
-
-// PipelineResult profiles the end-to-end pipeline of one technique,
-// stage by stage: trace generation alone, the unbatched reference
-// driver, the serial block driver, and the bank-sharded driver at each
-// shard count — all over the identical generated access stream, all
-// checked for Result equality.
-type PipelineResult struct {
-	Technique string `json:"technique"`
-	// Accesses is the stream length (the ns-per-access denominator);
-	// Activations is the row activations it caused (the acts/sec
-	// numerator, comparable across reports).
-	Accesses    uint64 `json:"accesses"`
-	Activations uint64 `json:"activations"`
-	// Per-stage single-thread breakdown in ns per generated access.
-	// ServiceNsPerAccess = BlockNsPerAccess − GenNsPerAccess: the lane
-	// servicing share of the production driver.
-	GenNsPerAccess     float64 `json:"gen_ns_per_access"`
-	RefNsPerAccess     float64 `json:"ref_ns_per_access"`
-	BlockNsPerAccess   float64 `json:"block_ns_per_access"`
-	ServiceNsPerAccess float64 `json:"service_ns_per_access"`
-
-	RefActsPerSec   float64 `json:"ref_acts_per_sec"`
-	BlockActsPerSec float64 `json:"block_acts_per_sec"`
-	// BlockSpeedup compares the block driver to the reference driver;
-	// `experiments profile` fails when it reports a batching net loss.
-	BlockSpeedup float64 `json:"block_speedup"`
-
-	Sharded []ShardRate `json:"sharded"`
-
-	// ResultsMatch reports whether every driver produced the identical
-	// sim.Result — the behavioral-equivalence check riding along with
-	// every benchmark run.
-	ResultsMatch bool `json:"results_match"`
-}
-
-// pipelineConfig is the workload both pipeline drivers run: the standard
-// mixed-load-plus-attacker setup, shortened to keep a full profile run in
-// seconds. Three windows (≈half a million accesses, tens of milliseconds
-// per timed run) is long enough that scheduler noise stops dominating the
-// driver-vs-driver ratios while a full three-technique profile still
-// finishes in a few seconds.
-func pipelineConfig() sim.Config {
-	cfg := sim.DefaultConfig()
-	cfg.Windows = 3
-	return cfg
-}
-
-// pipelineReps is how many times each pipeline driver runs. Absolute
-// rates come from each driver's fastest repetition (the standard way to
-// strip scheduler and GC noise from a wall-clock measurement); speedup
-// ratios instead pair the drivers within each repetition round and take
-// the median ratio, because machine noise is time-correlated — adjacent
-// timings share the same load epoch, so their ratio is far more stable
-// than a ratio of two independent bests.
-const pipelineReps = 5
-
-// pipelineShardCounts are the sharded-driver fan-outs the profile
-// measures (clamped to the configuration's bank count inside the driver;
-// the scaled default has 4 banks, so this is {2, NumBank}).
-func pipelineShardCounts(cfg sim.Config) []int {
-	counts := []int{2, cfg.Params.Banks}
-	if counts[1] <= counts[0] {
-		counts = counts[:1]
-	}
-	return counts
-}
-
-// MeasurePipeline profiles every pipeline stage on the same
-// configuration and checks Result equality across every driver and
-// repetition. Every repetition round times each driver back to back (see
-// pipelineReps for why ratios pair within rounds).
-func MeasurePipeline(ctx context.Context, technique string) (PipelineResult, error) {
-	cfg := pipelineConfig()
-	shardCounts := pipelineShardCounts(cfg)
-
-	timeOne := func(run func() (sim.Result, error)) (sim.Result, time.Duration, error) {
-		runtime.GC() // don't bill one run for another's garbage
-		t0 := time.Now()
-		r, err := run()
-		return r, time.Since(t0), err
-	}
-
-	var accesses uint64
-	var ref, blk sim.Result
-	var genDur, refDur, blkDur time.Duration
-	shardDur := make([]time.Duration, len(shardCounts))
-	shardRes := make([]sim.Result, len(shardCounts))
-	blockRatios := make([]float64, 0, pipelineReps)
-	shardRatios := make([][]float64, len(shardCounts))
-
-	for i := 0; i < pipelineReps; i++ {
-		_, gd, err := timeOne(func() (sim.Result, error) {
-			n, err := sim.DrainStream(ctx, cfg)
-			accesses = n
-			return sim.Result{}, err
-		})
-		if err != nil {
-			return PipelineResult{}, fmt.Errorf("hotpath: generation stage of %s: %w", technique, err)
-		}
-		r, rd, err := timeOne(func() (sim.Result, error) { return sim.RunReferenceCtx(ctx, cfg, technique) })
-		if err != nil {
-			return PipelineResult{}, fmt.Errorf("hotpath: reference run of %s: %w", technique, err)
-		}
-		b, bd, err := timeOne(func() (sim.Result, error) { return sim.RunCtx(ctx, cfg, technique) })
-		if err != nil {
-			return PipelineResult{}, fmt.Errorf("hotpath: block run of %s: %w", technique, err)
-		}
-		if i == 0 {
-			ref, blk = r, b
-			genDur, refDur, blkDur = gd, rd, bd
-		} else {
-			if r != ref || b != blk {
-				return PipelineResult{}, fmt.Errorf("hotpath: %s: nondeterministic result across repetitions", technique)
-			}
-			genDur, refDur, blkDur = minDur(genDur, gd), minDur(refDur, rd), minDur(blkDur, bd)
-		}
-		if bd > 0 {
-			blockRatios = append(blockRatios, rd.Seconds()/bd.Seconds())
-		}
-		for k, shards := range shardCounts {
-			shards := shards
-			s, sd, err := timeOne(func() (sim.Result, error) {
-				return sim.RunShardedCtx(ctx, cfg, technique, shards)
-			})
-			if err != nil {
-				return PipelineResult{}, fmt.Errorf("hotpath: sharded(%d) run of %s: %w", shards, technique, err)
-			}
-			if i == 0 {
-				shardRes[k], shardDur[k] = s, sd
-			} else {
-				if s != shardRes[k] {
-					return PipelineResult{}, fmt.Errorf("hotpath: sharded(%d) %s: nondeterministic result across repetitions", shards, technique)
-				}
-				shardDur[k] = minDur(shardDur[k], sd)
-			}
-			if sd > 0 {
-				shardRatios[k] = append(shardRatios[k], bd.Seconds()/sd.Seconds())
-			}
-		}
-	}
-
-	p := PipelineResult{
-		Technique:    technique,
-		Accesses:     accesses,
-		Activations:  ref.TotalActs,
-		ResultsMatch: ref == blk,
-	}
-	perAccess := func(d time.Duration) float64 {
-		if accesses == 0 {
-			return 0
-		}
-		return float64(d.Nanoseconds()) / float64(accesses)
-	}
-	p.GenNsPerAccess = perAccess(genDur)
-	p.RefNsPerAccess = perAccess(refDur)
-	p.BlockNsPerAccess = perAccess(blkDur)
-	p.ServiceNsPerAccess = p.BlockNsPerAccess - p.GenNsPerAccess
-	if s := refDur.Seconds(); s > 0 {
-		p.RefActsPerSec = float64(ref.TotalActs) / s
-	}
-	if s := blkDur.Seconds(); s > 0 {
-		p.BlockActsPerSec = float64(blk.TotalActs) / s
-	}
-	p.BlockSpeedup = median(blockRatios)
-
-	for k, shards := range shardCounts {
-		if shardRes[k] != ref {
-			p.ResultsMatch = false
-		}
-		sr := ShardRate{Shards: shards}
-		if s := shardDur[k].Seconds(); s > 0 {
-			sr.ActsPerSec = float64(shardRes[k].TotalActs) / s
-		}
-		sr.Speedup = median(shardRatios[k])
-		p.Sharded = append(p.Sharded, sr)
-	}
-	return p, nil
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-// median returns the middle value of xs (mean of the middle two for even
-// lengths), or 0 for an empty slice.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-}
-
 // Report is the BENCH_hotpath.json payload.
 type Report struct {
 	GeneratedAt string `json:"generated_at"`
 	GoMaxProcs  int    `json:"gomaxprocs"`
 	NumCPU      int    `json:"num_cpu"`
-	BatchSize   int    `json:"batch_size"`
 	// AccessesPerInterval is the count-based refresh quantum of the
-	// profiled configuration (memctrl.AccessesPerInterval).
-	AccessesPerInterval int              `json:"accesses_per_interval"`
-	ActPath             []Measurement    `json:"act_path"`
-	Pipeline            []PipelineResult `json:"pipeline"`
+	// scaled configuration BenchTarget models (memctrl.AccessesPerInterval).
+	AccessesPerInterval int           `json:"accesses_per_interval"`
+	ActPath             []Measurement `json:"act_path"`
 }
 
-// netLossFloor is the BlockSpeedup below which the block driver counts
-// as a batching net loss and BuildReport fails.
-//
-// The floor is calibrated from the measured envelope of the current
-// implementation, not from an ideal of parity. Serially, batching is a
-// wash-to-win for PARA (~1.02–1.07×) and CaPRoMi (~0.95–0.99×) but costs
-// LiPRoMi ~8% (~0.91–0.93×): block mode services each access a chunk
-// after generating it, so the mitigation with the largest per-activation
-// working set (the history table) reuses its state least hot. That is an
-// inherent cost of the batching that enables bank-sharding, accepted and
-// recorded here rather than hidden. The floor sits below that envelope
-// with margin for wall-clock jitter; a reading under it means the block
-// dispatch itself has regressed (the PR 6 failure mode this guard exists
-// for was per-chunk overhead compounding into a structural loss). Drift
-// in absolute throughput is caught separately by CheckBaseline's ratchet
-// against the committed baseline.
-const netLossFloor = 0.85
-
-// BuildReport runs every act-path and pipeline measurement. It returns
-// an error when a pipeline run fails, when any two drivers disagree on
-// the Result — a benchmark artifact from diverging implementations would
-// be garbage — or when the block driver is a net loss against the
-// unbatched reference (the regression this harness exists to catch).
-func BuildReport(ctx context.Context) (Report, error) {
+// BuildReport runs every act-path measurement.
+func BuildReport() Report {
 	rep := Report{
 		GeneratedAt:         time.Now().UTC().Format(time.RFC3339),
 		GoMaxProcs:          runtime.GOMAXPROCS(0),
 		NumCPU:              runtime.NumCPU(),
-		BatchSize:           memctrl.DefaultBatchSize,
-		AccessesPerInterval: memctrl.AccessesPerInterval(pipelineConfig().Params),
+		AccessesPerInterval: memctrl.AccessesPerInterval(dram.ScaledParams()),
 	}
 	for _, s := range Specs() {
 		rep.ActPath = append(rep.ActPath, MeasureActPath(s))
 	}
-	for _, tech := range []string{"PARA", "LiPRoMi", "CaPRoMi"} {
-		p, err := MeasurePipeline(ctx, tech)
-		if err != nil {
-			return rep, err
-		}
-		if !p.ResultsMatch {
-			return rep, fmt.Errorf("hotpath: %s: drivers disagree on the Result", tech)
-		}
-		if p.BlockSpeedup < netLossFloor {
-			return rep, fmt.Errorf("hotpath: %s: block driver is a net loss (%.2fx vs reference, floor %.2f)",
-				tech, p.BlockSpeedup, netLossFloor)
-		}
-		rep.Pipeline = append(rep.Pipeline, p)
-	}
-	return rep, nil
-}
-
-// CheckBaseline compares a fresh report against a committed baseline and
-// returns an error on a regression beyond tolPct percent. On a machine
-// shaped like the baseline's (same GOMAXPROCS and CPU count) absolute
-// pipeline rates are compared directly; otherwise only the
-// machine-portable ratios (block and sharded speedups) are, since a
-// baseline committed from one box says nothing about another's absolute
-// throughput.
-func CheckBaseline(cur, base Report, tolPct float64) error {
-	if tolPct <= 0 {
-		tolPct = 15
-	}
-	floor := 1 - tolPct/100
-	sameShape := cur.GoMaxProcs == base.GoMaxProcs && cur.NumCPU == base.NumCPU
-	basePipe := make(map[string]PipelineResult, len(base.Pipeline))
-	for _, p := range base.Pipeline {
-		basePipe[p.Technique] = p
-	}
-	for _, p := range cur.Pipeline {
-		b, ok := basePipe[p.Technique]
-		if !ok {
-			continue
-		}
-		if sameShape && b.BlockActsPerSec > 0 && p.BlockActsPerSec < b.BlockActsPerSec*floor {
-			return fmt.Errorf("hotpath: %s: block driver regressed %.0f → %.0f acts/sec (>%.0f%%)",
-				p.Technique, b.BlockActsPerSec, p.BlockActsPerSec, tolPct)
-		}
-		if b.BlockSpeedup > 0 && p.BlockSpeedup < b.BlockSpeedup*floor {
-			return fmt.Errorf("hotpath: %s: block speedup regressed %.2fx → %.2fx (>%.0f%%)",
-				p.Technique, b.BlockSpeedup, p.BlockSpeedup, tolPct)
-		}
-		baseShard := make(map[int]ShardRate, len(b.Sharded))
-		for _, sr := range b.Sharded {
-			baseShard[sr.Shards] = sr
-		}
-		for _, sr := range p.Sharded {
-			bs, ok := baseShard[sr.Shards]
-			if !ok {
-				continue
-			}
-			if sameShape && bs.ActsPerSec > 0 && sr.ActsPerSec < bs.ActsPerSec*floor {
-				return fmt.Errorf("hotpath: %s: sharded(%d) regressed %.0f → %.0f acts/sec (>%.0f%%)",
-					p.Technique, sr.Shards, bs.ActsPerSec, sr.ActsPerSec, tolPct)
-			}
-			if bs.Speedup > 0 && sr.Speedup < bs.Speedup*floor {
-				return fmt.Errorf("hotpath: %s: sharded(%d) speedup regressed %.2fx → %.2fx (>%.0f%%)",
-					p.Technique, sr.Shards, bs.Speedup, sr.Speedup, tolPct)
-			}
-		}
-	}
-	return nil
+	return rep
 }

@@ -14,7 +14,7 @@ import (
 // of the calibrated traffic, where most accesses activate). For the
 // paper's DDR4 parameters this is (7800−350)/45 = 165 — exactly the
 // tREFI/tRC activation ceiling (Params.MaxActsPerRI), which the result is
-// additionally clamped to. The lane drivers use this count to place
+// additionally clamped to. The simulation driver uses this count to place
 // refresh boundaries by access index instead of by a global clock, which
 // is what makes per-bank simulation independent between boundaries.
 func AccessesPerInterval(p dram.Params) int {
@@ -32,34 +32,22 @@ func AccessesPerInterval(p dram.Params) int {
 // buffer, Row-Hammer command queue, and mitigation instance, driven by
 // that bank's share of a count-sliced access stream. A Lane owns a
 // single-bank dram.Device and a mitigation sized for one bank, so its
-// entire state evolves from only the accesses routed to it — the
-// structural property that makes bank-sharded simulation deterministic:
-// however the global stream is partitioned across goroutines, each lane
-// sees the same accesses in the same order with the same boundary
-// positions.
+// entire state evolves from only the accesses routed to it and the
+// positions of the refresh boundaries.
 //
 // Refresh boundaries fire lazily: the driver calls CatchUp(iv) before
 // servicing an access belonging to global interval iv, and once more at
 // the end of the run, so a lane that goes quiet for a few intervals fires
 // its pending boundaries in order before its next access. A Lane is not
-// safe for concurrent use; concurrency comes from running disjoint lanes
-// on different goroutines.
+// safe for concurrent use.
 type Lane struct {
+	cmdQueue
 	cfg Config
-	dev *dram.Device
-	mit mitigation.Mitigator // nil for an unprotected bank
 
 	openRow int32
 	fired   int   // refresh-interval boundaries fired so far
 	ivInWin int32 // cached dev.IntervalInWindow(): avoids a modulo per activation
 	refInt  int32
-
-	pending []mitigation.Command
-	delayed []mitigation.Command
-	scratch []mitigation.Command
-	stats   Stats
-	hook    func(mitigation.Command)
-	filter  func(mitigation.Command) Disposition
 	tick    func()
 
 	// obsAccesses is the value of stats.Accesses at the last sampled
@@ -79,27 +67,19 @@ func NewLane(cfg Config, dev *dram.Device, mit mitigation.Mitigator) (*Lane, err
 	if b := dev.Params().TotalBanks(); b != 1 {
 		return nil, fmt.Errorf("memctrl: lane device has %d banks, want 1", b)
 	}
-	return &Lane{cfg: cfg, dev: dev, mit: mit, openRow: -1,
-		refInt: int32(dev.Params().RefInt)}, nil
+	l := &Lane{
+		cmdQueue: cmdQueue{dev: dev, mit: mit, pendingCap: cfg.PendingCap},
+		cfg:      cfg,
+		openRow:  -1,
+		refInt:   int32(dev.Params().RefInt),
+	}
+	l.afterExec = l.closeRow
+	return l, nil
 }
-
-// Device returns the lane's single-bank device.
-func (l *Lane) Device() *dram.Device { return l.dev }
-
-// Stats returns the lane's controller counters.
-func (l *Lane) Stats() Stats { return l.stats }
 
 // IntervalsFired returns how many refresh-interval boundaries the lane
 // has fired.
 func (l *Lane) IntervalsFired() int { return l.fired }
-
-// SetCommandHook installs an observer called for every mitigation command
-// the lane executes (false-positive classification).
-func (l *Lane) SetCommandHook(fn func(mitigation.Command)) { l.hook = fn }
-
-// SetCommandFilter installs a fault filter consulted for every mitigation
-// command before it is buffered; semantics match Controller.
-func (l *Lane) SetCommandFilter(fn func(mitigation.Command) Disposition) { l.filter = fn }
 
 // SetAccessTick installs a callback invoked once before every serviced
 // access (per-access fault-injector ticks).
@@ -109,10 +89,9 @@ func (l *Lane) SetAccessTick(fn func()) { l.tick = fn }
 // device untouched; a row miss activates the row, feeds the mitigation,
 // and drains any buffered Row-Hammer commands.
 //
-// The row-hit case is split out so it inlines into the dispatch loops: a
-// hit with no access-tick installed is two compares and two increments,
-// no call. Everything else — including hits when a fault injector needs
-// its per-access tick — takes the full path.
+// The row-hit case is split out: a hit with no access-tick installed is
+// two compares and two increments. Everything else — including hits when
+// a fault injector needs its per-access tick — takes the full path.
 func (l *Lane) Access(row int32, write bool) {
 	if l.openRow == row && l.tick == nil {
 		l.stats.Accesses++
@@ -166,18 +145,7 @@ func (l *Lane) CatchUp(interval int) {
 }
 
 func (l *Lane) fireRefreshInterval() {
-	// Promote fault-delayed commands first: they execute one interval
-	// late, bypassing the filter so a command is delayed at most once.
-	if len(l.delayed) > 0 {
-		l.pending = append(l.pending, l.delayed...)
-		l.delayed = l.delayed[:0]
-		l.drain()
-	}
-	if l.mit != nil {
-		l.scratch = l.mit.OnRefreshInterval(int(l.ivInWin), l.scratch[:0])
-		l.enqueue(l.scratch)
-		l.drain()
-	}
+	l.refreshCommands(int(l.ivInWin))
 	l.dev.AdvanceInterval()
 	l.openRow = -1 // refresh precharges the bank
 	l.fired++
@@ -204,67 +172,6 @@ func (l *Lane) FlushMetrics() {
 	}
 }
 
-// enqueue buffers mitigation commands; on overflow the lane stalls and
-// executes the command immediately (the wait handshake).
-func (l *Lane) enqueue(cmds []mitigation.Command) {
-	for _, cmd := range cmds {
-		if l.filter != nil {
-			switch l.filter(cmd) {
-			case Drop:
-				l.stats.DroppedCmds++
-				continue
-			case Delay:
-				l.stats.DelayedCmds++
-				l.delayed = append(l.delayed, cmd)
-				continue
-			}
-		}
-		if len(l.pending) >= l.cfg.PendingCap {
-			l.stats.Overflows++
-			l.execute(cmd)
-			continue
-		}
-		l.pending = append(l.pending, cmd)
-		if len(l.pending) > l.stats.PendingPeak {
-			l.stats.PendingPeak = len(l.pending)
-		}
-	}
-}
-
-// drain issues buffered RH commands ("when wait is low").
-func (l *Lane) drain() {
-	for _, cmd := range l.pending {
-		l.execute(cmd)
-	}
-	l.pending = l.pending[:0]
-}
-
-// execute performs one mitigation command on the device. Maintenance
-// activations end with the bank precharged, so the next normal access
-// reopens its row.
-func (l *Lane) execute(cmd mitigation.Command) {
-	if l.hook != nil {
-		l.hook(cmd)
-	}
-	switch cmd.Kind {
-	case mitigation.ActN:
-		l.stats.ActN++
-		l.dev.ActivateNeighbors(cmd.Bank, cmd.Row)
-	case mitigation.ActNOne:
-		l.stats.ActNOne++
-		l.dev.ActivateNeighbor(cmd.Bank, cmd.Row, int(cmd.Side))
-	case mitigation.RefreshRow:
-		l.stats.RefreshRow++
-		l.dev.RefreshRow(cmd.Bank, cmd.Row)
-	default:
-		panic(fmt.Sprintf("memctrl: unknown command kind %v", cmd.Kind))
-	}
-	l.openRow = -1
-}
-
-// ExtraActivations returns the mitigation-issued activations the lane's
-// device observed.
-func (l *Lane) ExtraActivations() uint64 {
-	s := l.dev.Stats()
-	return s.NeighborActs + s.DirectRefreshes
-}
+// closeRow is the lane's after-execute step: the maintenance activation
+// precharged the bank.
+func (l *Lane) closeRow(int) { l.openRow = -1 }

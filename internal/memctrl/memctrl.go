@@ -61,12 +61,6 @@ func DefaultConfig() Config {
 	return Config{RowHitNs: 15, RowMissNs: 45, PendingCap: 8}
 }
 
-// DefaultBatchSize is the access-block size the simulation's lane drivers
-// use when the caller passes batch <= 0: large enough to amortize the
-// per-block context poll and generation-loop overhead, small enough that
-// a canceled run stops promptly.
-const DefaultBatchSize = 512
-
 // Stats aggregates controller activity.
 type Stats struct {
 	Accesses  uint64
@@ -91,22 +85,14 @@ type Stats struct {
 // Controller drives a dram.Device, optionally with a mitigation attached.
 // It is not safe for concurrent use.
 type Controller struct {
+	cmdQueue
 	cfg Config
-	dev *dram.Device
-	mit mitigation.Mitigator // nil for an unprotected system
 
 	openRows []int32
 	timeNs   uint64
 	nextRef  uint64
 	refStep  uint64
 	trfc     uint64
-
-	pending []mitigation.Command
-	delayed []mitigation.Command
-	scratch []mitigation.Command
-	stats   Stats
-	hook    func(mitigation.Command)
-	filter  func(mitigation.Command) Disposition
 }
 
 // New builds a controller over dev with the given mitigation (nil for
@@ -117,37 +103,19 @@ func New(cfg Config, dev *dram.Device, mit mitigation.Mitigator) (*Controller, e
 	}
 	p := dev.Params()
 	c := &Controller{
+		cmdQueue: cmdQueue{dev: dev, mit: mit, pendingCap: cfg.PendingCap},
 		cfg:      cfg,
-		dev:      dev,
-		mit:      mit,
 		openRows: make([]int32, p.TotalBanks()),
 		refStep:  uint64(p.TRefIntNs),
 		trfc:     uint64(p.TRFCNs),
 	}
+	c.afterExec = c.closeRow
 	for b := range c.openRows {
 		c.openRows[b] = -1
 	}
 	c.nextRef = c.refStep
 	return c, nil
 }
-
-// Device returns the controlled device.
-func (c *Controller) Device() *dram.Device { return c.dev }
-
-// SetCommandHook installs an observer called for every mitigation command
-// the controller executes. The experiment harness uses it to classify
-// commands against attack ground truth (false-positive accounting).
-func (c *Controller) SetCommandHook(fn func(mitigation.Command)) { c.hook = fn }
-
-// SetCommandFilter installs a fault filter consulted for every mitigation
-// command before it is buffered. Dropped commands never reach the device;
-// delayed commands execute at the next refresh-interval boundary (once —
-// a promoted command is not re-filtered, so a filter cannot starve the
-// path forever). A nil filter delivers everything.
-func (c *Controller) SetCommandFilter(fn func(mitigation.Command) Disposition) { c.filter = fn }
-
-// Stats returns the controller counters.
-func (c *Controller) Stats() Stats { return c.stats }
 
 // TimeNs returns the controller clock.
 func (c *Controller) TimeNs() uint64 { return c.timeNs }
@@ -188,62 +156,10 @@ func (c *Controller) AccessAddr(m *addr.Mapper, pa uint64, write bool) {
 	c.AccessRow(coord.FlatBank(m.Geometry()), coord.Row, write)
 }
 
-// enqueue buffers mitigation commands; on overflow the controller stalls
-// and executes the command immediately (the wait handshake).
-func (c *Controller) enqueue(cmds []mitigation.Command) {
-	for _, cmd := range cmds {
-		if c.filter != nil {
-			switch c.filter(cmd) {
-			case Drop:
-				c.stats.DroppedCmds++
-				continue
-			case Delay:
-				c.stats.DelayedCmds++
-				c.delayed = append(c.delayed, cmd)
-				continue
-			}
-		}
-		if len(c.pending) >= c.cfg.PendingCap {
-			c.stats.Overflows++
-			c.execute(cmd)
-			continue
-		}
-		c.pending = append(c.pending, cmd)
-		if len(c.pending) > c.stats.PendingPeak {
-			c.stats.PendingPeak = len(c.pending)
-		}
-	}
-}
-
-// drain issues buffered RH commands ("when wait is low").
-func (c *Controller) drain() {
-	for _, cmd := range c.pending {
-		c.execute(cmd)
-	}
-	c.pending = c.pending[:0]
-}
-
-// execute performs one mitigation command on the device. Maintenance
-// activations end with the bank precharged, so the next normal access
-// reopens its row.
-func (c *Controller) execute(cmd mitigation.Command) {
-	if c.hook != nil {
-		c.hook(cmd)
-	}
-	switch cmd.Kind {
-	case mitigation.ActN:
-		c.stats.ActN++
-		c.dev.ActivateNeighbors(cmd.Bank, cmd.Row)
-	case mitigation.ActNOne:
-		c.stats.ActNOne++
-		c.dev.ActivateNeighbor(cmd.Bank, cmd.Row, int(cmd.Side))
-	case mitigation.RefreshRow:
-		c.stats.RefreshRow++
-		c.dev.RefreshRow(cmd.Bank, cmd.Row)
-	default:
-		panic(fmt.Sprintf("memctrl: unknown command kind %v", cmd.Kind))
-	}
-	c.openRows[cmd.Bank] = -1
+// closeRow is the controller's after-execute step: the maintenance
+// activation precharged the bank and occupied it for a full row cycle.
+func (c *Controller) closeRow(bank int) {
+	c.openRows[bank] = -1
 	c.advanceNoRefresh(c.cfg.RowMissNs)
 }
 
@@ -265,18 +181,7 @@ func (c *Controller) advanceNoRefresh(ns uint64) {
 // observes ref, its commands execute, the device refreshes, rows close,
 // and a completed window resets window-scoped mitigation state.
 func (c *Controller) fireRefreshInterval() {
-	// Promote fault-delayed commands first: they execute one interval
-	// late, bypassing the filter so a command is delayed at most once.
-	if len(c.delayed) > 0 {
-		c.pending = append(c.pending, c.delayed...)
-		c.delayed = c.delayed[:0]
-		c.drain()
-	}
-	if c.mit != nil {
-		c.scratch = c.mit.OnRefreshInterval(c.dev.IntervalInWindow(), c.scratch[:0])
-		c.enqueue(c.scratch)
-		c.drain()
-	}
+	c.refreshCommands(c.dev.IntervalInWindow())
 	c.dev.AdvanceInterval()
 	for b := range c.openRows {
 		c.openRows[b] = -1 // refresh precharges all banks
@@ -315,11 +220,4 @@ func (c *Controller) RunIntervalsCtx(ctx context.Context, n int, next func() (ba
 		c.AccessRow(bank, row, write)
 	}
 	return nil
-}
-
-// ExtraActivations returns the total mitigation-issued activations the
-// device observed (the numerator of the paper's activation overhead).
-func (c *Controller) ExtraActivations() uint64 {
-	s := c.dev.Stats()
-	return s.NeighborActs + s.DirectRefreshes
 }

@@ -5,34 +5,20 @@ import (
 	"testing"
 )
 
-// Driver benchmarks over the standard scaled configuration: the same
-// pipeline the hot-path harness times, under the standard benchmark
-// driver for quick `-bench Driver` comparisons while tuning dispatch.
+// Driver benchmarks over the standard scaled configuration, for quick
+// `-bench Driver` comparisons while tuning dispatch: the whole pipeline,
+// and generation alone.
 
-func benchDriver(b *testing.B, run func(context.Context, Config, string) (Result, error)) {
+func BenchmarkDriver(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Windows = 1
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(ctx, cfg, "LiPRoMi"); err != nil {
+		if _, err := RunCtx(ctx, cfg, "LiPRoMi"); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkDriverReference(b *testing.B) {
-	benchDriver(b, RunReferenceCtx)
-}
-
-func BenchmarkDriverBlock(b *testing.B) {
-	benchDriver(b, RunCtx)
-}
-
-func BenchmarkDriverSharded2(b *testing.B) {
-	benchDriver(b, func(ctx context.Context, c Config, t string) (Result, error) {
-		return RunShardedCtx(ctx, c, t, 2)
-	})
 }
 
 func BenchmarkDriverGenOnly(b *testing.B) {

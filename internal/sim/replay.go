@@ -97,7 +97,7 @@ func ReplayTrace(r *trace.Reader, technique string, flipThreshold uint32) (Resul
 
 // RecordTrace runs the configured workload+attacker (without any
 // mitigation) and writes the resulting activation trace — the equivalent
-// of capturing a gem5 run for later replay. Unlike the lazy run drivers,
+// of capturing a gem5 run for later replay. Unlike RunCtx's lazy catch-up,
 // the recorder fires every lane's refresh boundary eagerly at each
 // interval crossing, so the trace carries exactly one IntervalEnd per
 // global interval, placed after that interval's activations.
@@ -136,7 +136,7 @@ func RecordTrace(cfg Config, w *trace.Writer) error {
 	total := env.intervals * env.api
 	iv, rem := 0, env.api
 	for i := 0; i < total; i++ {
-		a, _ := env.st.gen()
+		a := env.st.gen()
 		if rem == 0 {
 			iv++
 			rem = env.api

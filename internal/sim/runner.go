@@ -62,13 +62,6 @@ type RunnerConfig struct {
 	// over hundreds of seeds would stampede the scheduler and defeat the
 	// per-run memory locality the Device model relies on.
 	Workers int
-	// Shards > 1 runs every simulation through the bank-sharded driver
-	// (RunShardedCtx) with that many servicing goroutines. Results are
-	// byte-identical at any shard count, so the knob is purely a
-	// latency/throughput trade: intra-run sharding helps when a campaign
-	// has fewer concurrent runs than cores, and it multiplies with
-	// Workers otherwise. 0 or 1 selects the serial block driver.
-	Shards int
 	// PerRunTimeout is the deadline for one simulation (0 = none). A
 	// deterministic run that overruns it is recorded as a permanent
 	// RunError — retrying would overrun again.
@@ -170,13 +163,7 @@ func RunSeedsCtx(ctx context.Context, rc RunnerConfig, cfg Config, technique str
 	}
 	run := rc.runFn
 	if run == nil {
-		if s := rc.Shards; s > 1 {
-			run = func(ctx context.Context, c Config, t string) (Result, error) {
-				return RunShardedCtx(ctx, c, t, s)
-			}
-		} else {
-			run = RunCtx
-		}
+		run = RunCtx
 	}
 
 	results := make([]*Result, len(seeds))

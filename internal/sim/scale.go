@@ -11,7 +11,7 @@ import (
 
 // Scale smoke: prove that a full-DIMM geometry simulates with heap
 // proportional to the rows the workload touches, not the row population.
-// The run is driven through the normal prepareRun/runBlocks pipeline, but
+// The run is driven through the normal prepareRun/run pipeline, but
 // the environment is kept reachable across a forced GC so the live-heap
 // delta actually reflects the retained simulation state, and the per-lane
 // device accounting (StateBytes, TouchedRows) is read before teardown.
@@ -102,14 +102,14 @@ func ScaleSmoke(ctx context.Context, cfg Config, technique string) (ScaleSmokeRe
 	if err != nil {
 		return rep, err
 	}
-	if err := env.runBlocks(ctx, 0); err != nil {
+	if err := env.run(ctx); err != nil {
 		return rep, err
 	}
 	res := env.collect()
 	rep.Seconds = time.Since(start).Seconds()
 
-	// Live-heap high water: GC first so the delta excludes dead block
-	// buffers, then read with env still reachable below.
+	// Live-heap high water: GC first so the delta excludes transient
+	// garbage, then read with env still reachable below.
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)

@@ -207,94 +207,29 @@ func Run(cfg Config, technique string) (Result, error) {
 }
 
 // RunCtx is Run with cooperative cancellation: the simulation polls ctx
-// between blocks of accesses and returns ctx.Err() when cut short, so a
-// seed sweep can be abandoned mid-run without leaking work. Accesses are
-// generated into struct-of-arrays blocks of memctrl.DefaultBatchSize and
-// dispatched to per-bank lanes; see RunCtxBatch and RunShardedCtx.
+// every 1024 accesses and returns ctx.Err() when cut short, so a seed
+// sweep can be abandoned mid-run without leaking work. At the same
+// cadence it ticks the context's Heartbeat, so the hardened runner's
+// stall watchdog can tell a wedged run from a slow one.
+//
+// The driver is one loop: generate an access, route it to its bank's
+// lane, repeat. A lane fires the refresh boundaries it has missed only
+// on its first access of a new interval, so a bank's whole evolution is
+// a function of its own access subsequence and the access index.
 func RunCtx(ctx context.Context, cfg Config, technique string) (Result, error) {
-	return RunCtxBatch(ctx, cfg, technique, 0)
-}
-
-// RunCtxBatch is RunCtx with an explicit access-block size (batch <= 0
-// selects memctrl.DefaultBatchSize). The generated access stream, every
-// RNG draw and every mitigation command are identical at any block size —
-// the block only amortizes per-access generation and dispatch overhead —
-// so the Result is invariant in batch; TestBatchSizesMatchReference pins
-// this against RunReferenceCtx. The block size is deliberately a
-// parameter, not a Config field: checkpoint fingerprints hash the Config,
-// and a purely mechanical dispatch knob must not invalidate resumable
-// campaign state.
-func RunCtxBatch(ctx context.Context, cfg Config, technique string, batch int) (Result, error) {
 	env, err := prepareRun(cfg, technique)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := env.runBlocks(ctx, batch); err != nil {
+	if err := env.run(ctx); err != nil {
 		return Result{}, err
 	}
 	return env.collect(), nil
 }
 
-// RunShardedCtx is RunCtx with the lane servicing fanned out over
-// `shards` goroutines (clamped to the bank count; <= 1 falls back to the
-// serial block driver). Trace generation stays sequential on the calling
-// goroutine — the interleave is defined by one stateful RNG — and each
-// worker services the lanes of banks congruent to its index mod shards.
-// Because every lane's state evolves only from its own bank's accesses
-// and count-based refresh boundaries, the Result is byte-identical at any
-// shard count; TestShardsMatchReference pins this against
-// RunReferenceCtx.
-func RunShardedCtx(ctx context.Context, cfg Config, technique string, shards int) (Result, error) {
-	if shards <= 1 {
-		return RunCtxBatch(ctx, cfg, technique, 0)
-	}
-	env, err := prepareRun(cfg, technique)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := env.runSharded(ctx, shards); err != nil {
-		return Result{}, err
-	}
-	return env.collect(), nil
-}
-
-// RunReferenceCtx executes the run with the unbatched one-access-per-call
-// oracle driver: generate one access, route it to its bank lane, repeat.
-// It is the behavioral reference the block and sharded drivers are tested
-// against and the "before" pipeline of the hot-path benchmark harness;
-// production callers should use RunCtx or RunShardedCtx.
-func RunReferenceCtx(ctx context.Context, cfg Config, technique string) (Result, error) {
-	env, err := prepareRun(cfg, technique)
-	if err != nil {
-		return Result{}, err
-	}
-	total := env.intervals * env.api
-	iv, rem := 0, env.api
-	for i := 0; i < total; i++ {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return Result{}, err
-			}
-		}
-		a, _ := env.st.gen()
-		if rem == 0 {
-			iv++
-			rem = env.api
-		}
-		rem--
-		l := env.lanes[a.Bank]
-		l.CatchUp(iv)
-		l.Access(int32(a.Row), a.Write)
-	}
-	env.finish()
-	return env.collect(), nil
-}
-
-// DrainStream generates cfg's full access stream into a reusable block
-// without servicing any of it — the trace-generation stage in isolation.
-// The hot-path harness times it to split the pipeline profile into
-// generation and lane-servicing shares. Returns the number of accesses
-// generated.
+// DrainStream generates cfg's full access stream without servicing any
+// of it — the trace-generation stage in isolation, through the same
+// generator RunCtx consumes. Returns the number of accesses generated.
 func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, permanent(err)
@@ -305,17 +240,13 @@ func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
 		return 0, err
 	}
 	total := cfg.Windows * cfg.Params.RefInt * api
-	blk := workload.NewBlock(memctrl.DefaultBatchSize)
-	for done := 0; done < total; {
-		if err := ctx.Err(); err != nil {
-			return 0, err
+	for i := 0; i < total; i++ {
+		if i&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
 		}
-		n := total - done
-		if n > memctrl.DefaultBatchSize {
-			n = memctrl.DefaultBatchSize
-		}
-		st.fill(blk, n)
-		done += n
+		st.gen()
 	}
 	return uint64(total), nil
 }
@@ -325,8 +256,7 @@ func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
 // instrumentation and classification hook) plus the shared traffic
 // stream. The refresh timeline is count-based — access i of the run
 // belongs to global refresh interval i/api — so a lane's entire evolution
-// is a function of its own access subsequence, independent of how the
-// stream is partitioned across goroutines.
+// is a function of its own access subsequence.
 type runEnv struct {
 	cfg       Config
 	api       int // accesses per global refresh interval
@@ -335,16 +265,8 @@ type runEnv struct {
 	harnesses []*faults.Harness // per lane; nil without an active plan
 	st        *stream
 	mit0      mitigation.Mitigator // lane 0's (possibly fault-wrapped) instance
-	falseActs []padCounter         // per lane, padded against false sharing
+	falseActs []uint64             // per lane
 	res       Result               // identity fields
-}
-
-// padCounter is a cache-line-padded counter: one per lane, so shard
-// workers incrementing neighboring lanes' counters never contend on a
-// line.
-type padCounter struct {
-	n uint64
-	_ [56]byte
 }
 
 // laneSeed derives the per-bank seed for bank b; bank 0 keeps the base
@@ -353,9 +275,9 @@ func laneSeed(seed uint64, bank int) uint64 {
 	return seed + uint64(bank)*0x9e3779b97f4a7c15
 }
 
-// prepareRun builds the runEnv for one configuration. Everything that all
-// run drivers share — and therefore everything that determines behavior —
-// lives here; the drivers differ only in dispatch mechanics.
+// prepareRun builds the runEnv for one configuration: everything that
+// determines behavior lives here, shared by RunCtx, RecordTrace and
+// ScaleSmoke.
 func prepareRun(cfg Config, technique string) (*runEnv, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, permanent(err)
@@ -432,7 +354,7 @@ func prepareRun(cfg Config, technique string) (*runEnv, error) {
 		lanes:     make([]*memctrl.Lane, banks),
 		harnesses: make([]*faults.Harness, banks),
 		st:        st,
-		falseActs: make([]padCounter, banks),
+		falseActs: make([]uint64, banks),
 	}
 	for b := 0; b < banks; b++ {
 		// Every lane gets its own policy instance seeded with the base
@@ -484,7 +406,7 @@ func prepareRun(cfg Config, technique string) (*runEnv, error) {
 					rowIsAggressor(bs, cmd.Row+1, rpb)
 			}
 			if !protective {
-				ctr.n++
+				*ctr++
 			}
 		})
 		env.lanes[b] = lane
@@ -506,17 +428,9 @@ func rowIsAggressor(bs *bitset.Bitset, row, rpb int) bool {
 	return bs != nil && row >= 0 && row < rpb && bs.Get(row)
 }
 
-// runBlocks is the serial production driver: fill a struct-of-arrays
-// block from the stream, then scan its flat arrays routing each access to
-// its bank lane, firing any refresh boundaries the access index has
-// crossed. One context poll and one heartbeat tick per block.
-func (e *runEnv) runBlocks(ctx context.Context, chunk int) error {
-	if chunk <= 0 {
-		chunk = memctrl.DefaultBatchSize
-	}
+// run drives the whole access stream through the lanes (see RunCtx).
+func (e *runEnv) run(ctx context.Context) error {
 	hb := HeartbeatFrom(ctx)
-	total := e.intervals * e.api
-	blk := workload.NewBlock(chunk)
 	// laneIv[b] is the interval lane b was last caught up to; the gate
 	// replaces a CatchUp call per access with a compare that only fails
 	// on a lane's first access of a new interval.
@@ -524,39 +438,30 @@ func (e *runEnv) runBlocks(ctx context.Context, chunk int) error {
 	for i := range laneIv {
 		laneIv[i] = -1
 	}
-	iv, rem := 0, e.api
-	api, lanes := e.api, e.lanes
-	for done := 0; done < total; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if hb != nil {
-			// Report forward progress once per block so the hardened
-			// runner's stall watchdog can tell a wedged run from a slow
-			// one; per-block ticking keeps the hot path untouched.
-			hb.Tick()
-		}
-		n := total - done
-		if n > chunk {
-			n = chunk
-		}
-		e.st.fill(blk, n)
-		banks, rows, flags := blk.Bank[:n], blk.Row[:n], blk.Flag[:n]
-		for i := 0; i < n; i++ {
-			if rem == 0 {
-				iv++
-				rem = api
+	total := e.intervals * e.api
+	iv, rem := int32(0), e.api
+	api, lanes, st := e.api, e.lanes, e.st
+	for i := 0; i < total; i++ {
+		if i&1023 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			rem--
-			b := banks[i]
-			l := lanes[b]
-			if laneIv[b] != int32(iv) {
-				l.CatchUp(iv)
-				laneIv[b] = int32(iv)
+			if hb != nil {
+				hb.Tick()
 			}
-			l.Access(rows[i], flags[i]&workload.FlagWrite != 0)
 		}
-		done += n
+		a := st.gen()
+		if rem == 0 {
+			iv++
+			rem = api
+		}
+		rem--
+		l := lanes[a.Bank]
+		if laneIv[a.Bank] != iv {
+			l.CatchUp(int(iv))
+			laneIv[a.Bank] = iv
+		}
+		l.Access(int32(a.Row), a.Write)
 	}
 	e.finish()
 	return nil
@@ -593,7 +498,7 @@ func (e *runEnv) collect() Result {
 		if h := e.harnesses[b]; h != nil {
 			res.InjectedFaults += h.Injected
 		}
-		res.FalseActs += e.falseActs[b].n
+		res.FalseActs += e.falseActs[b]
 	}
 	res.AttackerActs = e.st.attackerAccesses // attacker accesses are all misses
 	if res.TotalActs > 0 {
@@ -635,9 +540,8 @@ func techniqueName(m mitigation.Mitigator) string {
 
 // stream interleaves the SPEC-like mix with the attacker at the
 // configured share. Generation reads only the stream's own RNG and
-// generators — never device or lane state — which is the property that
-// makes every dispatch strategy (reference, blocked, sharded) produce
-// byte-identical results: they all consume this one sequence.
+// generators — never device or lane state — so RunCtx, DrainStream and
+// RecordTrace all consume this one sequence.
 type stream struct {
 	att     *workload.Attacker
 	mix     *workload.SpecMixGen
@@ -645,8 +549,7 @@ type stream struct {
 	shareFP uint64
 	// attackerAccesses counts attacker-issued accesses at generation;
 	// every generated access is serviced (the run length is a fixed
-	// access count), so generation-time counting is exact for every
-	// driver.
+	// access count), so generation-time counting is exact.
 	attackerAccesses uint64
 }
 
@@ -681,45 +584,14 @@ func newStream(cfg Config, api int) (*stream, error) {
 	return st, nil
 }
 
-// gen produces the next access of the interleaved sequence and reports
-// whether the attacker issued it. All drivers funnel through it (directly
-// or via fill), so they consume one generation sequence. The
+// gen produces the next access of the interleaved sequence. The
 // attacker-share draw is skipped entirely without an attacker.
-func (st *stream) gen() (a workload.Access, attacker bool) {
+func (st *stream) gen() workload.Access {
 	if st.att != nil && st.src.Uint64()&0xffffffff < st.shareFP {
 		st.attackerAccesses++
-		return st.att.Next(), true
+		return st.att.Next()
 	}
-	return st.mix.Next(), false
-}
-
-// fill writes the next n accesses into the block's flat arrays. It is
-// gen() unrolled against the arrays directly — same draws, same stream —
-// so the block fill path skips the per-access Access round trip (and its
-// flag reassembly) that Block.Set would cost.
-func (st *stream) fill(blk *workload.Block, n int) {
-	blk.Reset(n)
-	banks, rows, flags := blk.Bank[:n], blk.Row[:n], blk.Flag[:n]
-	att, mix, src, shareFP := st.att, st.mix, st.src, st.shareFP
-	var attacked uint64
-	for i := 0; i < n; i++ {
-		var a workload.Access
-		var f uint8
-		if att != nil && src.Uint64()&0xffffffff < shareFP {
-			attacked++
-			a = att.Next()
-			f = workload.FlagAttacker
-		} else {
-			a = mix.Next()
-		}
-		if a.Write {
-			f |= workload.FlagWrite
-		}
-		banks[i] = int32(a.Bank)
-		rows[i] = int32(a.Row)
-		flags[i] = f
-	}
-	st.attackerAccesses += attacked
+	return st.mix.Next()
 }
 
 func remapPerm(rows, swaps int, seed uint64) []int {

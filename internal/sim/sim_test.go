@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"tivapromi/internal/dram"
@@ -11,6 +12,39 @@ func fastConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Windows = 1
 	return cfg
+}
+
+// shrunkenConfig is a reduced geometry that still exercises every hot-path
+// structure (history tables, counters, aggressor bitset, weak cells) in a
+// few milliseconds per run.
+func shrunkenConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Windows = 1
+	cfg.Params.Banks = 2
+	cfg.Params.RowsPerBank = 4096
+	cfg.Params.RefInt = 256
+	cfg.Params.FlipThreshold = 10240
+	cfg.AttackBanks = []int{1}
+	return cfg
+}
+
+// shardConfig widens shrunkenConfig to four banks, two of them attacked,
+// so lanes with and without aggressors interleave.
+func shardConfig() Config {
+	cfg := shrunkenConfig()
+	cfg.Params.Banks = 4
+	cfg.AttackBanks = []int{1, 3}
+	return cfg
+}
+
+// TestRunCtxHonorsCancellation pins that the driver notices a canceled
+// context and returns its error instead of a Result.
+func TestRunCtxHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCtx(ctx, shardConfig(), "PARA"); err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {

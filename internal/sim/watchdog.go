@@ -20,7 +20,7 @@ var ErrStalled = errors.New("sim: run stalled (heartbeat stopped)")
 
 // Heartbeat is the progress channel between a running workload and the
 // stall watchdog. The workload calls Tick whenever it makes forward
-// progress (the batched simulation driver ticks once per access batch);
+// progress (RunCtx ticks every 1024 accesses);
 // the watchdog cancels the run when ticks stop. All methods are safe
 // for concurrent use and a nil *Heartbeat ignores every call.
 type Heartbeat struct {

@@ -165,7 +165,7 @@ func TestNeverTickingWorkloadExemptFromWatchdog(t *testing.T) {
 }
 
 // TestRealSimulationTicksHeartbeat checks the production wiring: a real
-// batched run under a stall watchdog ticks (and therefore finishes,
+// run under a stall watchdog ticks (and therefore finishes,
 // because it genuinely progresses).
 func TestRealSimulationTicksHeartbeat(t *testing.T) {
 	hb := &Heartbeat{}
@@ -175,6 +175,6 @@ func TestRealSimulationTicksHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hb.Ticks() == 0 {
-		t.Fatal("batched simulation never ticked its heartbeat")
+		t.Fatal("simulation never ticked its heartbeat")
 	}
 }

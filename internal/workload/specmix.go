@@ -57,11 +57,3 @@ func (g *SpecMixGen) Next() Access {
 		return g.uni.Next()
 	}
 }
-
-// FillBlock fills b with the next n accesses, flagged as benign traffic.
-func (g *SpecMixGen) FillBlock(b *Block, n int) {
-	b.Reset(n)
-	for i := 0; i < n; i++ {
-		b.Set(i, g.Next(), false)
-	}
-}

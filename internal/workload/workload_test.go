@@ -186,35 +186,6 @@ func TestSpecMixGenMatchesSPECMix(t *testing.T) {
 	}
 }
 
-func TestBlockFillRoundTrips(t *testing.T) {
-	g := NewSpecMixGen(testBanks, testRows, 7)
-	ref := NewSpecMixGen(testBanks, testRows, 7)
-	b := NewBlock(16)
-	g.FillBlock(b, 1000) // must grow past initial capacity
-	if b.N != 1000 || len(b.Bank) != 1000 || len(b.Row) != 1000 || len(b.Flag) != 1000 {
-		t.Fatalf("block sized %d/%d/%d/%d, want 1000", b.N, len(b.Bank), len(b.Row), len(b.Flag))
-	}
-	for i := 0; i < b.N; i++ {
-		if want := ref.Next(); b.At(i) != want {
-			t.Fatalf("slot %d = %v, want %v", i, b.At(i), want)
-		}
-		if b.Flag[i]&FlagAttacker != 0 {
-			t.Fatalf("benign fill set attacker flag at %d", i)
-		}
-	}
-	// Reuse without reallocation.
-	bank := &b.Bank[0]
-	b.Reset(500)
-	if &b.Bank[0] != bank {
-		t.Fatal("Reset reallocated despite sufficient capacity")
-	}
-	// Attacker flag round-trips through Set.
-	b.Set(0, Access{Bank: 1, Row: 2, Write: true}, true)
-	if b.Flag[0] != FlagWrite|FlagAttacker {
-		t.Fatalf("flags = %b", b.Flag[0])
-	}
-}
-
 func TestAccessString(t *testing.T) {
 	if s := (Access{Bank: 1, Row: 2, Write: true}).String(); s != "W b1 r2" {
 		t.Fatalf("String = %q", s)

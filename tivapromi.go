@@ -277,26 +277,9 @@ func NewAttacker(cfg workload.AttackerConfig) (*Attacker, error) {
 type AttackerConfig = workload.AttackerConfig
 
 // RunSimulation executes one simulation of a technique ("" for an
-// unprotected system). Accesses are dispatched in batches (see
-// RunSimulationBatch); the result is identical at any batch size.
+// unprotected system).
 func RunSimulation(cfg SimConfig, technique string) (SimResult, error) {
 	return sim.Run(cfg, technique)
-}
-
-// RunSimulationBatch is RunSimulation with cancellation and an explicit
-// access-batch size (batch <= 0 selects the default). The batch size only
-// amortizes per-access dispatch overhead; the simulated behavior — every
-// RNG draw, every mitigation command — is byte-identical at any value.
-func RunSimulationBatch(ctx context.Context, cfg SimConfig, technique string, batch int) (SimResult, error) {
-	return sim.RunCtxBatch(ctx, cfg, technique, batch)
-}
-
-// RunSimulationSharded is RunSimulation with the per-bank lane servicing
-// fanned out over `shards` goroutines (clamped to the bank count; <= 1
-// runs serial). Sharding is purely a latency knob: the simulated
-// behavior is byte-identical at any shard count.
-func RunSimulationSharded(ctx context.Context, cfg SimConfig, technique string, shards int) (SimResult, error) {
-	return sim.RunShardedCtx(ctx, cfg, technique, shards)
 }
 
 // RunSeeds executes RunSimulation across seeds in parallel and aggregates
