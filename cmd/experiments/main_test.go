@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -103,14 +105,16 @@ func TestKilledCampaignResumesByteIdentical(t *testing.T) {
 		return r
 	}
 
-	// Phase 1: kill the campaign partway through.
+	// Phase 1: kill the campaign partway through, once a few cells have
+	// completed (and been checkpointed).
 	killed, _ := newTestApp(ev, 4)
 	killed.runner = load()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithCancel(context.Background())
+	killed.progress = &cancelAfterLines{n: 5, cancel: cancel}
 	err := killed.runSections(ctx, sectionNames())
 	cancel()
 	if err == nil {
-		t.Skip("campaign finished before the kill fired; machine too fast for this cut-off")
+		t.Fatal("campaign finished despite the kill")
 	}
 
 	// Phase 2: resume in a "new process" and finish.
@@ -141,6 +145,23 @@ func TestKilledCampaignResumesByteIdentical(t *testing.T) {
 	}
 }
 
+// cancelAfterLines is a progress writer that cancels the campaign once
+// it has reported n cells.
+type cancelAfterLines struct {
+	mu     sync.Mutex
+	n      int
+	cancel context.CancelFunc
+}
+
+func (w *cancelAfterLines) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.n -= bytes.Count(p, []byte("\n")); w.n <= 0 {
+		w.cancel()
+	}
+	return len(p), nil
+}
+
 // TestSingleSectionHasNoTrailingBlank pins the CLI formatting contract:
 // one section renders without the blank separator `all` appends.
 func TestSingleSectionHasNoTrailingBlank(t *testing.T) {
@@ -154,6 +175,36 @@ func TestSingleSectionHasNoTrailingBlank(t *testing.T) {
 	}
 	if strings.HasSuffix(out, "\n\n") {
 		t.Fatal("single section emitted a trailing blank line")
+	}
+}
+
+// TestLatencySectionMatchesGolden pins the cycle-level scheduler's
+// published numbers: the latency section rendered at the default
+// evaluation must equal its block in experiments_output.txt byte for
+// byte.
+func TestLatencySectionMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten full-window scheduler probes; skipped in -short")
+	}
+	golden, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const title = "Request latency under attack"
+	start := strings.Index(string(golden), title)
+	if start < 0 {
+		t.Fatalf("experiments_output.txt has no %q block", title)
+	}
+	want := string(golden[start:])
+	if end := strings.Index(want, "\n\n"); end >= 0 {
+		want = want[:end+1]
+	}
+	a, buf := newTestApp(campaign.DefaultEval(), 2)
+	if err := a.runSections(context.Background(), []string{"latency"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != want {
+		t.Fatalf("latency section differs from experiments_output.txt:\n%s", firstDiff(want, got))
 	}
 }
 

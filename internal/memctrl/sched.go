@@ -10,10 +10,15 @@ import (
 // This file implements the cycle-accurate controller: an FR-FCFS
 // scheduler over per-bank state machines with the JEDEC DDR4 core
 // timings (tRCD, tRP, CL, tRAS, tRC, tRRD, tFAW) and all-bank refresh.
-// The service-time Controller above is the simulator's fast path; the
-// Scheduler exists to validate that the fast path's activation statistics
-// are faithful (see the package tests and EXPERIMENTS.md) and to study
-// request latency, which service times cannot express.
+// The service-time Controller (memctrl.go) is the simulator's fast path;
+// the Scheduler exists to validate that the fast path's activation
+// statistics are faithful (see the package tests and EXPERIMENTS.md) and
+// to study request latency, which service times cannot express.
+//
+// Tick advances the clock exactly one cycle. RunIntervals and Drain are
+// event-driven: before each Tick they jump the clock over the cycles in
+// which no command can issue (every bank waiting on a timer), so their
+// results equal a tick-by-tick loop's while costing one Tick per command.
 
 // Timing holds the DDR4 core timings in controller clock cycles.
 type Timing struct {
@@ -108,6 +113,8 @@ func (s SchedStats) RowHits() uint64 {
 // bankState is one bank's state machine.
 type bankState struct {
 	openRow   int32 // -1 when precharged
+	reqs      int32 // queued requests for this bank
+	hits      int32 // queued requests for the open row (0 when precharged)
 	actReady  int64 // earliest cycle an ACT may issue (tRP/tRC)
 	colReady  int64 // earliest cycle a column command may issue (tRCD)
 	preReady  int64 // earliest cycle a PRE may issue (tRAS)
@@ -125,11 +132,14 @@ type Scheduler struct {
 	queue    []Request
 	queueCap int
 
-	cycle       int64
-	nextRef     int64
-	actTimes    []int64 // recent ACT issue cycles for the tFAW window
-	lastAct     int64   // for tRRD
-	lastActBank int     // bank of the last ACT, for bank-group spacing
+	cycle   int64
+	nextRef int64
+	// acts holds the last four ACT issue cycles for the tFAW window, a
+	// ring whose slot actHead is the oldest (the fourth-latest ACT).
+	acts        [4]int64
+	actHead     int
+	lastAct     int64 // for tRRD
+	lastActBank int   // bank of the last ACT, for bank-group spacing
 
 	pending []mitigation.Command
 	scratch []mitigation.Command
@@ -152,6 +162,7 @@ func NewScheduler(t Timing, dev *dram.Device, mit mitigation.Mitigator, queueCap
 		banks:    make([]bankState, dev.Params().TotalBanks()),
 		queueCap: queueCap,
 		nextRef:  int64(t.TREF),
+		acts:     [4]int64{-1 << 40, -1 << 40, -1 << 40, -1 << 40},
 		lastAct:  -1 << 40,
 	}
 	s.lastActBank = -1
@@ -180,6 +191,11 @@ func (s *Scheduler) Enqueue(bank, row int, write bool) bool {
 		panic(fmt.Sprintf("memctrl: request out of range: bank %d row %d", bank, row))
 	}
 	s.queue = append(s.queue, Request{Bank: bank, Row: row, Write: write, arrived: s.cycle})
+	b := &s.banks[bank]
+	b.reqs++
+	if b.openRow == int32(row) {
+		b.hits++
+	}
 	return true
 }
 
@@ -216,7 +232,7 @@ func (s *Scheduler) Tick() {
 			continue // waiting on tRCD; a younger row hit may fire next cycle
 		}
 		if b.openRow == -1 {
-			if s.cycle >= b.actReady && s.canActivate(r.Bank) {
+			if s.cycle >= b.actReady && s.cycle >= s.earliestACT(r.Bank) {
 				s.issueACT(r.Bank, r.Row)
 				return
 			}
@@ -232,22 +248,17 @@ func (s *Scheduler) Tick() {
 	}
 }
 
-// canActivate enforces ACT-to-ACT spacing (tRRD_L within a bank group,
-// tRRD_S across groups) and the four-ACT window (tFAW).
-func (s *Scheduler) canActivate(bank int) bool {
+// earliestACT is the first cycle the command bus admits an ACT to bank:
+// tRRD_L after the last ACT within its bank group (tRRD_S across groups)
+// and tFAW after the fourth-latest ACT.
+func (s *Scheduler) earliestACT(bank int) int64 {
 	gap := int64(s.timing.TRRD)
 	if s.timing.BankGroups > 1 && s.timing.TRRDS > 0 && s.lastActBank >= 0 {
 		if bank%s.timing.BankGroups != s.lastActBank%s.timing.BankGroups {
 			gap = int64(s.timing.TRRDS)
 		}
 	}
-	if s.cycle-s.lastAct < gap {
-		return false
-	}
-	if len(s.actTimes) >= 4 && s.cycle-s.actTimes[len(s.actTimes)-4] < int64(s.timing.TFAW) {
-		return false
-	}
-	return true
+	return max(s.lastAct+gap, s.acts[s.actHead]+int64(s.timing.TFAW))
 }
 
 // issueACT opens a row, feeding the device and the mitigation.
@@ -259,9 +270,13 @@ func (s *Scheduler) issueACT(bank, row int) {
 	b.actReady = s.cycle + int64(s.timing.TRC)
 	s.lastAct = s.cycle
 	s.lastActBank = bank
-	s.actTimes = append(s.actTimes, s.cycle)
-	if len(s.actTimes) > 8 {
-		s.actTimes = s.actTimes[len(s.actTimes)-8:]
+	s.acts[s.actHead] = s.cycle
+	s.actHead = (s.actHead + 1) % len(s.acts)
+	b.hits = 0
+	for i := range s.queue {
+		if s.queue[i].Bank == bank && s.queue[i].Row == row {
+			b.hits++
+		}
 	}
 	s.stats.RowMisses++
 	s.dev.Activate(bank, row)
@@ -275,7 +290,8 @@ func (s *Scheduler) issueACT(bank, row int) {
 func (s *Scheduler) issuePRE(bank int) {
 	b := &s.banks[bank]
 	b.openRow = -1
-	b.actReady = maxI64(b.actReady, s.cycle+int64(s.timing.TRP))
+	b.hits = 0
+	b.actReady = max(b.actReady, s.cycle+int64(s.timing.TRP))
 }
 
 // serve issues the column command for queue entry i and retires it.
@@ -283,6 +299,8 @@ func (s *Scheduler) serve(i int) {
 	r := s.queue[i]
 	b := &s.banks[r.Bank]
 	b.busyUntil = s.cycle + int64(s.timing.CL)
+	b.reqs--
+	b.hits--
 	s.stats.Served++
 	lat := s.cycle - r.arrived
 	s.stats.LatencyTotal += lat
@@ -310,6 +328,7 @@ func (s *Scheduler) issueMaintenance() bool {
 			s.dev.RefreshRow(cmd.Bank, cmd.Row)
 		}
 		b.openRow = -1
+		b.hits = 0
 		b.actReady = s.cycle + int64(s.timing.TRC)
 		b.busyUntil = s.cycle + int64(s.timing.TRC)
 		s.pending = append(s.pending[:i], s.pending[i+1:]...)
@@ -328,11 +347,13 @@ func (s *Scheduler) issueRefresh() {
 	}
 	s.dev.AdvanceInterval()
 	s.stats.Refreshes++
-	for b := range s.banks {
-		s.banks[b].openRow = -1
-		after := s.cycle + int64(s.timing.TRFC)
-		s.banks[b].actReady = maxI64(s.banks[b].actReady, after)
-		s.banks[b].busyUntil = maxI64(s.banks[b].busyUntil, after)
+	after := s.cycle + int64(s.timing.TRFC)
+	for i := range s.banks {
+		b := &s.banks[i]
+		b.openRow = -1
+		b.hits = 0
+		b.actReady = max(b.actReady, after)
+		b.busyUntil = max(b.busyUntil, after)
 	}
 	s.nextRef += int64(s.timing.TREF)
 	if s.mit != nil && s.dev.IntervalInWindow() == 0 {
@@ -340,11 +361,12 @@ func (s *Scheduler) issueRefresh() {
 	}
 }
 
-// Drain runs the clock until the queue and maintenance buffer are empty
-// (bounded by a deadline to catch livelocks).
+// Drain runs the clock, skipping idle cycles, until the queue and
+// maintenance buffer are empty (bounded by a deadline to catch livelocks).
 func (s *Scheduler) Drain(maxCycles int64) error {
 	deadline := s.cycle + maxCycles
 	for (len(s.queue) > 0 || len(s.pending) > 0) && s.cycle < deadline {
+		s.skipIdle(deadline)
 		s.Tick()
 	}
 	if len(s.queue) > 0 || len(s.pending) > 0 {
@@ -355,7 +377,8 @@ func (s *Scheduler) Drain(maxCycles int64) error {
 }
 
 // RunIntervals feeds requests from next() whenever the queue has room and
-// ticks until n refresh intervals have elapsed.
+// runs the clock, skipping idle cycles, until n refresh intervals have
+// elapsed.
 func (s *Scheduler) RunIntervals(n int, next func() (bank, row int, write bool)) {
 	target := s.dev.Interval() + n
 	for s.dev.Interval() < target {
@@ -363,14 +386,58 @@ func (s *Scheduler) RunIntervals(n int, next func() (bank, row int, write bool))
 			bank, row, write := next()
 			s.Enqueue(bank, row, write)
 		}
+		s.skipIdle(s.nextRef)
 		s.Tick()
 	}
 	s.stats.Cycles = s.cycle
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// nextIssue returns the earliest cycle at which Tick can issue a command
+// given the current state: the refresh deadline, a buffered maintenance
+// command's bank going idle, a row hit's column command, or a non-hit's
+// ACT (bus spacing included) or PRE. Every cycle before it is idle, and
+// idle cycles change nothing but the clock and FAWStalls.
+func (s *Scheduler) nextIssue() int64 {
+	next := s.nextRef
+	for _, cmd := range s.pending {
+		b := &s.banks[cmd.Bank]
+		next = min(next, max(b.actReady, b.busyUntil))
 	}
-	return b
+	for i := range s.banks {
+		b := &s.banks[i]
+		if b.hits > 0 {
+			next = min(next, max(b.colReady, b.busyUntil))
+		}
+		if b.reqs > b.hits {
+			if b.openRow == -1 {
+				next = min(next, max(b.actReady, s.earliestACT(i)))
+			} else {
+				next = min(next, max(b.preReady, b.busyUntil))
+			}
+		}
+	}
+	return next
+}
+
+// skipIdle jumps the clock to one cycle before the next command issue (or
+// before limit, whichever is first), so the following Tick lands on it.
+// The skipped cycles' FAWStalls are added in closed form: each request
+// for a precharged bank stalls in every cycle from the bank's tRP/tRC
+// deadline until the bus admits its ACT.
+func (s *Scheduler) skipIdle(limit int64) {
+	to := min(s.nextIssue(), limit) // the cycle the next Tick lands on
+	if to <= s.cycle+1 {
+		return
+	}
+	from := s.cycle + 1
+	for i := range s.banks {
+		b := &s.banks[i]
+		if b.openRow != -1 || b.reqs == 0 {
+			continue
+		}
+		if lo, hi := max(from, b.actReady), min(to, s.earliestACT(i)); hi > lo {
+			s.stats.FAWStalls += uint64(b.reqs) * uint64(hi-lo)
+		}
+	}
+	s.cycle = to - 1
 }

@@ -55,9 +55,16 @@ func LatencyProbeCtx(ctx context.Context, cfg Config, technique string) (Latency
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	sched.RunIntervals(p.RefInt, st)
-	if err := ctx.Err(); err != nil {
-		return LatencyResult{}, err
+	// One refresh interval per call: the same command sequence as a
+	// single RunIntervals(RefInt) call, with a cancellation check and a
+	// watchdog heartbeat between intervals.
+	hb := HeartbeatFrom(ctx)
+	for i := 0; i < p.RefInt; i++ {
+		sched.RunIntervals(1, st)
+		if err := ctx.Err(); err != nil {
+			return LatencyResult{}, err
+		}
+		hb.Tick()
 	}
 	stats := sched.Stats()
 	ds := dev.Stats()

@@ -20,8 +20,8 @@ var ErrStalled = errors.New("sim: run stalled (heartbeat stopped)")
 
 // Heartbeat is the progress channel between a running workload and the
 // stall watchdog. The workload calls Tick whenever it makes forward
-// progress (RunCtx ticks every 1024 accesses);
-// the watchdog cancels the run when ticks stop. All methods are safe
+// progress (RunCtx ticks every 1024 accesses, LatencyProbeCtx every
+// refresh interval); the watchdog cancels the run when ticks stop. All methods are safe
 // for concurrent use and a nil *Heartbeat ignores every call.
 type Heartbeat struct {
 	ticks atomic.Int64

@@ -177,4 +177,42 @@ func TestRealSimulationTicksHeartbeat(t *testing.T) {
 	if hb.Ticks() == 0 {
 		t.Fatal("simulation never ticked its heartbeat")
 	}
+
+	// The latency probe ticks once per refresh interval.
+	hb = &Heartbeat{}
+	cfg = shrunkenConfig()
+	if _, err := LatencyProbeCtx(WithHeartbeat(context.Background(), hb), cfg, "PARA"); err != nil {
+		t.Fatal(err)
+	}
+	if got := hb.Ticks(); got < int64(cfg.Params.RefInt) {
+		t.Fatalf("latency probe ticked %d times over %d refresh intervals", got, cfg.Params.RefInt)
+	}
+}
+
+// cancelOnTick reports its context cancelled once the heartbeat has
+// ticked: a cancellation arriving from inside the first heartbeat.
+type cancelOnTick struct {
+	context.Context
+	hb *Heartbeat
+}
+
+func (c cancelOnTick) Err() error {
+	if c.hb.Ticks() > 0 {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestLatencyProbeHonorsCancellation checks the probe stops between
+// refresh intervals instead of finishing its window.
+func TestLatencyProbeHonorsCancellation(t *testing.T) {
+	hb := &Heartbeat{}
+	ctx := cancelOnTick{WithHeartbeat(context.Background(), hb), hb}
+	_, err := LatencyProbeCtx(ctx, shrunkenConfig(), "LoLiPRoMi")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := hb.Ticks(); got != 1 {
+		t.Fatalf("probe ran %d intervals past the cancellation", got-1)
+	}
 }
