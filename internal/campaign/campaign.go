@@ -6,9 +6,10 @@
 //
 // Two kinds of cell exist:
 //
-//   - sweep cells: (Config, technique, seeds), executed by
-//     sim.Runner.RunSeeds — per-seed results are memoized in the
-//     checkpoint under the sweep fingerprint;
+//   - sweep cells: (Config, technique, seeds), executed by the group
+//     form of sim.Runner.RunSeeds — cells sharing an access stream run
+//     as one group that generates it once, and per-seed results are
+//     memoized in the checkpoint under each cell's sweep fingerprint;
 //   - probe cells: deterministic analyses that are not seed sweeps
 //     (flooding, vulnerability, saturation, rotation, latency), executed
 //     under sim.RunnerConfig.Do with the same hardening, memoized in the

@@ -26,9 +26,10 @@ var ErrCellSkipped = errors.New("campaign: cell skipped (retry budget exhausted 
 
 // Options tunes one campaign execution.
 type Options struct {
-	// Workers bounds the number of simulations in flight across the whole
-	// campaign (cells × seeds share one admission gate, so concurrency
-	// never multiplies). Zero means GOMAXPROCS.
+	// Workers bounds the number of runs in flight across the whole
+	// campaign — a seed of a stream-sharing group, or a probe — since
+	// all of them share one admission gate, so concurrency never
+	// multiplies. Zero means GOMAXPROCS.
 	Workers int
 	// Runner supplies the hardening policy (retries, deadlines, panic
 	// recovery, stall watchdog) and the checkpoint. A nil Runner uses
@@ -89,7 +90,7 @@ type Progress struct {
 	Attempts    int           // attempts this cell consumed (≥ 1)
 	Skipped     bool          // the scheduler parked this cell
 	Note        string        // checkpoint-load report (quarantine, salvage, migration)
-	CellElapsed time.Duration // this cell's wall-clock time
+	CellElapsed time.Duration // this cell's wall-clock time from admission
 	Elapsed     time.Duration // campaign wall-clock so far
 	ETA         time.Duration // naive remaining-time estimate
 }
@@ -195,11 +196,19 @@ func (rs *ResultSet) Err() error {
 // Run executes every cell of a spec through the hardened runner with
 // bounded cross-cell parallelism and returns the complete ResultSet.
 //
-// Scheduling is work-conserving but result order is not: cells complete
-// in any order, land in the set keyed by cell, and callers render in
-// spec order afterwards — so output is byte-identical whatever the
-// worker count. Cell failures are recorded, not fatal; the only
-// non-nil error returns are structural (bad spec) or context
+// Work is admitted in spec order. Sweep cells that share an access
+// stream (equal sim.Config.StreamKey and seed list) run as groups of up
+// to sim.GroupCap members: each seed of a group is one run, generating
+// the stream once for all its members. One dispatcher walks the groups
+// and probe cells in spec order and admits each seed run or probe
+// through the shared gate, so the first cells of a spec always run
+// first, and a cell's timing starts when its first run is admitted, not
+// while it waits in the queue.
+//
+// Cells complete in any order, land in the set keyed by cell, and
+// callers render in spec order afterwards — so output is byte-identical
+// whatever the worker count. Cell failures are recorded, not fatal; the
+// only non-nil error returns are structural (bad spec) or context
 // cancellation.
 func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 	if ctx == nil {
@@ -224,10 +233,9 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 	if base == nil {
 		base = sim.NewRunner()
 	}
-	// One admission gate bounds every simulation in flight, whichever
-	// cell it belongs to: launching all cells at once stays safe because
-	// seeds and probes alike must win a gate slot before running. A
-	// caller-supplied gate extends the same bound across campaigns.
+	// One admission gate bounds every run in flight, whichever cell it
+	// belongs to. A caller-supplied gate extends the same bound across
+	// campaigns.
 	gate := opts.Gate
 	if gate == nil {
 		gate = make(chan struct{}, workers)
@@ -237,6 +245,10 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 	if runner.Config.Workers <= 0 || runner.Config.Workers > workers {
 		runner.Config.Workers = workers
 	}
+	// The dispatcher holds the gate token of every run it admits, so the
+	// first attempt runs ungated; cell re-attempts go through the gate.
+	ungated := runner
+	ungated.Config.Gate = nil
 
 	rs := &ResultSet{
 		name:    spec.Name,
@@ -263,8 +275,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 			opts.OnProgress(Progress{Campaign: spec.Name, Tenant: opts.Tenant, Total: len(spec.Cells), Note: note, Elapsed: time.Since(start)})
 		}
 	}
-	finish := func(cr *CellResult, cellStart time.Time) {
-		cr.Elapsed = time.Since(cellStart)
+	finish := func(cr *CellResult) {
 		mu.Lock()
 		done++
 		d, total := done, len(spec.Cells)
@@ -294,31 +305,41 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 		budget = new(atomic.Int64)
 		budget.Store(int64(opts.RetryBudget))
 	}
-	breaker := opts.BreakerAfter
-	if breaker <= 0 {
-		breaker = 3
+	pol := cellPolicy{
+		budget:   budget,
+		breaker:  opts.BreakerAfter,
+		backoff:  opts.RetryBackoff,
+		seed:     opts.RetrySeed,
+		campaign: spec.Name,
 	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
+	if pol.breaker <= 0 {
+		pol.breaker = 3
+	}
+	if pol.backoff <= 0 {
+		pol.backoff = 50 * time.Millisecond
 	}
 
-	for _, c := range spec.Cells {
-		cr := rs.results[c.Key]
-		wg.Add(1)
-		go func(c Cell, cr *CellResult) {
-			defer wg.Done()
-			cellStart := time.Now()
-			span := obs.StartSpan("cell", "campaign",
-				"campaign", spec.Name, "cell", c.Key, "tenant", opts.Tenant)
-			runCell(ctx, &runner, c, cr, cellPolicy{
-				budget:   budget,
-				breaker:  breaker,
-				campaign: spec.Name,
-				jitter: sim.NewRetryJitter(backoff, 0,
-					opts.RetrySeed^cellSeed(spec.Name, c.Key)),
-			})
-			obs.CellSeconds.Observe(time.Since(cellStart).Seconds())
+	// complete settles a unit whose runs are over: re-attempts for the
+	// cells that failed transiently, then one span, metric and progress
+	// event per cell, timed from the unit's admission.
+	complete := func(u *unit) {
+		if u.sweep != nil {
+			for i, out := range u.sweep.Results(ctx) {
+				cr := u.crs[i]
+				cr.Summary, cr.RunErrors, cr.Err = out.Summary, out.RunErrors, out.Err
+			}
+		}
+		for i, c := range u.cells {
+			cr := u.crs[i]
+			cr.Attempts = 1
+			retryCell(ctx, &runner, c, cr, pol)
+			end := time.Now()
+			admittedAt := u.admitted
+			if admittedAt.IsZero() {
+				admittedAt = end // never admitted: cached or cancelled
+			}
+			cr.Elapsed = end.Sub(admittedAt)
+			obs.CellSeconds.Observe(cr.Elapsed.Seconds())
 			if cr.Attempts > 1 {
 				obs.CellRetries.Add(uint64(cr.Attempts - 1))
 			}
@@ -335,9 +356,44 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 					obs.CellsCached.Inc()
 				}
 			}
-			span.End("outcome", outcome, "attempts", strconv.Itoa(cr.Attempts))
-			finish(cr, cellStart)
-		}(c, cr)
+			obs.SpanBetween("cell", "campaign", admittedAt, end,
+				"campaign", spec.Name, "cell", c.Key, "tenant", opts.Tenant,
+				"members", strconv.Itoa(len(u.cells)),
+				"outcome", outcome, "attempts", strconv.Itoa(cr.Attempts))
+			finish(cr)
+		}
+	}
+
+	for _, u := range planUnits(spec.Cells, rs) {
+		jobs := u.prepare(&runner)
+		// left counts the unit's unfinished runs plus the dispatcher's
+		// own hold, released once it stops admitting this unit.
+		u.left.Store(int32(len(jobs)) + 1)
+		launched := 0
+		for _, job := range jobs {
+			if ctx.Err() != nil || !acquire(ctx, gate) {
+				break
+			}
+			if launched == 0 {
+				u.admitted = time.Now()
+			}
+			launched++
+			wg.Add(1)
+			go func(job int) {
+				defer wg.Done()
+				u.run(ctx, &ungated, job)
+				<-gate
+				if u.left.Add(-1) == 0 {
+					complete(u)
+				}
+			}(job)
+		}
+		if launched < len(jobs) && u.sweep == nil {
+			u.crs[0].Err = ctx.Err() // a probe cancelled before admission
+		}
+		if u.left.Add(-int32(1+len(jobs)-launched)) == 0 {
+			complete(u) // every run it launched has finished, or none was
+		}
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
@@ -346,13 +402,94 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 	return rs, nil
 }
 
+// unit is one admission unit of the scheduler: a probe cell, or a group
+// of sweep cells sharing a stream key and seed list.
+type unit struct {
+	cells    []Cell
+	crs      []*CellResult
+	sweep    *sim.Sweep // sweep units, once prepared
+	left     atomic.Int32
+	admitted time.Time // when the unit's first run was admitted
+}
+
+// planUnits splits cells into admission units in spec order: each probe
+// cell alone, and each sweep cell into the latest group with its stream
+// key and seed list, until that group holds sim.GroupCap members.
+func planUnits(cells []Cell, rs *ResultSet) []*unit {
+	var units []*unit
+	open := make(map[string]*unit)
+	for _, c := range cells {
+		cr := rs.results[c.Key]
+		if !c.IsSweep() {
+			units = append(units, &unit{cells: []Cell{c}, crs: []*CellResult{cr}})
+			continue
+		}
+		key := sim.Fingerprint(c.Config.StreamKey(), "", nil) + fmt.Sprint(c.Seeds)
+		if u := open[key]; u != nil && len(u.cells) < sim.GroupCap {
+			u.cells = append(u.cells, c)
+			u.crs = append(u.crs, cr)
+			continue
+		}
+		u := &unit{cells: []Cell{c}, crs: []*CellResult{cr}}
+		open[key] = u
+		units = append(units, u)
+	}
+	return units
+}
+
+// prepare serves what the checkpoint holds and returns the unit's runs
+// still to admit: a group's pending seed positions, or a probe's one run
+// unless its result is cached.
+func (u *unit) prepare(r *sim.Runner) []int {
+	c := u.cells[0]
+	if !c.IsSweep() {
+		if cachedProbe(r, c, u.crs[0]) {
+			return nil
+		}
+		return []int{0}
+	}
+	members := make([]sim.Member, len(u.cells))
+	for i, c := range u.cells {
+		members[i] = sim.Member{Config: c.Config, Technique: c.Technique, Cell: c.Key}
+	}
+	sw, err := r.NewSweep(members, c.Seeds)
+	if err != nil { // unreachable for validated cells
+		for _, cr := range u.crs {
+			cr.Err = err
+		}
+		return nil
+	}
+	u.sweep = sw
+	return sw.Pending()
+}
+
+// run executes one admitted run of the unit.
+func (u *unit) run(ctx context.Context, r *sim.Runner, job int) {
+	if u.sweep != nil {
+		u.sweep.RunSeed(ctx, job)
+		return
+	}
+	runProbe(ctx, r, u.cells[0], u.crs[0])
+}
+
+// acquire takes one gate token, or reports false when ctx ends first.
+func acquire(ctx context.Context, gate chan struct{}) bool {
+	select {
+	case gate <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // cellPolicy carries the scheduler's cell-level retry machinery into one
-// cell's attempt loop.
+// cell's re-attempt loop.
 type cellPolicy struct {
 	budget   *atomic.Int64
 	breaker  int
+	backoff  time.Duration
+	seed     uint64 // Options.RetrySeed
 	campaign string // for event-log attribution only
-	jitter   *sim.RetryJitter
 }
 
 // cellSeed derives a stable per-cell jitter seed from the campaign and
@@ -366,26 +503,16 @@ func cellSeed(campaign, key string) uint64 {
 	return h.Sum64()
 }
 
-// runCell executes one cell with the scheduler's retry loop: transient
-// cell failures (cell-level errors, stalled seeds) are re-attempted under
-// the campaign's shared budget until the per-cell circuit breaker trips,
-// at which point the cell is parked as Skipped with its last failure
-// wrapped beneath ErrCellSkipped. Re-attempting a sweep cell is cheap
-// with a checkpoint armed: completed seeds are memoized, so only the
-// failed remainder re-runs.
-func runCell(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult, pol cellPolicy) {
-	for {
-		cr.Attempts++
-		// Reset the slate a previous attempt may have left.
-		cr.Summary, cr.RunErrors, cr.Value, cr.Err, cr.Cached = sim.Summary{}, nil, nil, nil, false
-		if c.IsSweep() {
-			runSweepCell(ctx, r, c, cr)
-		} else {
-			runProbeCell(ctx, r, c, cr)
-		}
-		if !cellRetryable(ctx, cr) {
-			return
-		}
+// retryCell re-attempts a cell whose first attempt failed transiently
+// (cell-level errors, stalled seeds) under the campaign's shared budget
+// until the per-cell circuit breaker trips, at which point the cell is
+// parked as Skipped with its last failure wrapped beneath
+// ErrCellSkipped. A re-attempt runs the cell alone through the gated
+// runner; with a checkpoint armed, completed seeds are memoized, so only
+// the failed remainder re-runs.
+func retryCell(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult, pol cellPolicy) {
+	var jitter *sim.RetryJitter
+	for cellRetryable(ctx, cr) {
 		if cr.Attempts >= pol.breaker || !takeToken(pol.budget) {
 			reason := "budget-dry"
 			if cr.Attempts >= pol.breaker {
@@ -407,8 +534,19 @@ func runCell(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult, pol cel
 			"campaign", pol.campaign, "cell", c.Key,
 			"attempt", strconv.Itoa(cr.Attempts),
 			"err", cellFailure(cr).Error())
-		if !sleepOrDone(ctx, pol.jitter.Next()) {
+		if jitter == nil {
+			jitter = sim.NewRetryJitter(pol.backoff, 0, pol.seed^cellSeed(pol.campaign, c.Key))
+		}
+		if !sleepOrDone(ctx, jitter.Next()) {
 			return
+		}
+		cr.Attempts++
+		// Reset the slate the previous attempt left.
+		cr.Summary, cr.RunErrors, cr.Value, cr.Err, cr.Cached = sim.Summary{}, nil, nil, nil, false
+		if c.IsSweep() {
+			cr.Summary, cr.RunErrors, cr.Err = r.RunSeeds(ctx, c.Config, c.Technique, c.Seeds)
+		} else if !cachedProbe(r, c, cr) {
+			runProbe(ctx, r, c, cr)
 		}
 	}
 }
@@ -473,29 +611,27 @@ func sleepOrDone(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// runSweepCell executes a seed-sweep cell through the hardened runner;
-// per-seed results are memoized by the runner's own checkpoint.
-func runSweepCell(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult) {
-	sum, runErrs, err := r.RunSeeds(ctx, c.Config, c.Technique, c.Seeds)
-	cr.Summary, cr.RunErrors, cr.Err = sum, runErrs, err
+// cachedProbe serves a probe cell from the checkpoint's probe cache; it
+// reports whether it did.
+func cachedProbe(r *sim.Runner, c Cell, cr *CellResult) bool {
+	if r.Checkpoint == nil || c.NewValue == nil {
+		return false
+	}
+	raw, ok := r.Checkpoint.Probe(sim.ProbeFingerprint(c.Key))
+	if !ok {
+		return false
+	}
+	v := c.NewValue()
+	if err := json.Unmarshal(raw, v); err != nil {
+		return false // a malformed cache entry falls through to a fresh run
+	}
+	cr.Value, cr.Cached = v, true
+	return true
 }
 
-// runProbeCell executes a probe cell: serve it from the checkpoint's
-// probe cache when possible, otherwise run it under the runner's
-// hardening and record the result.
-func runProbeCell(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult) {
-	ck := r.Checkpoint
-	fp := sim.ProbeFingerprint(c.Key)
-	if ck != nil && c.NewValue != nil {
-		if raw, ok := ck.Probe(fp); ok {
-			v := c.NewValue()
-			if err := json.Unmarshal(raw, v); err == nil {
-				cr.Value, cr.Cached = v, true
-				return
-			}
-			// A malformed cache entry falls through to a fresh run.
-		}
-	}
+// runProbe runs a probe cell under the runner's hardening and records
+// the result in the checkpoint.
+func runProbe(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult) {
 	var v any
 	if c.NewValue != nil {
 		v = c.NewValue()
@@ -508,8 +644,8 @@ func runProbeCell(ctx context.Context, r *sim.Runner, c Cell, cr *CellResult) {
 		return
 	}
 	cr.Value = v
-	if ck != nil && c.NewValue != nil {
-		if err := ck.PutProbe(fp, v); err != nil {
+	if ck := r.Checkpoint; ck != nil && c.NewValue != nil {
+		if err := ck.PutProbe(sim.ProbeFingerprint(c.Key), v); err != nil {
 			cr.Err = fmt.Errorf("campaign: caching probe %q: %w", c.Key, err)
 		}
 	}

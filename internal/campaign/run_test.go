@@ -248,7 +248,55 @@ func TestSpecsAreWellFormed(t *testing.T) {
 	if len(merged.Cells) != total {
 		t.Fatalf("cross-section key collision: %d cells merged from %d", len(merged.Cells), total)
 	}
-	if total < 200 {
-		t.Fatalf("evaluation grid suspiciously small: %d cells", total)
+	// FaultsSpec schedules canonical cells only; the cells it maps away
+	// still count toward the grid the report renders.
+	mapped := len(FaultSweepFor(ev).Cells()) - len(FaultsSpec(ev).Cells)
+	if mapped != 27 {
+		t.Errorf("fault grid maps %d cells to canonical ones, want 27", mapped)
+	}
+	if total+mapped < 200 {
+		t.Fatalf("evaluation grid suspiciously small: %d cells (+%d mapped fault cells)", total, mapped)
+	}
+}
+
+// TestFaultCanonicalCellsEqual verifies the fault grid's canonical
+// mapping instead of assuming it: every cell FaultsSpec leaves out is
+// simulated at one seed, and its Summary must equal the one of the cell
+// the renderer reads in its place.
+func TestFaultCanonicalCellsEqual(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates 27 mapped fault cells and their canonical cells")
+	}
+	ctx := context.Background()
+	sc := FaultSweepFor(DefaultEval())
+	seeds := sc.Seeds[:1]
+	r := sim.NewRunner()
+	summary := func(c sim.FaultCell) sim.Summary {
+		t.Helper()
+		sum, runErrs, err := r.RunSeeds(ctx, sc.CellConfig(c), c.Technique, seeds)
+		if err != nil || len(runErrs) != 0 {
+			t.Fatalf("%s: %v %v", FaultKey(c), err, runErrs)
+		}
+		return sum
+	}
+	canonical := map[sim.FaultCell]sim.Summary{}
+	mapped := 0
+	for _, c := range sc.Cells() {
+		k := sc.Canonical(c)
+		if k == c {
+			continue
+		}
+		mapped++
+		want, ok := canonical[k]
+		if !ok {
+			want = summary(k)
+			canonical[k] = want
+		}
+		if got := summary(c); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s differs from its canonical cell %s:\n got %+v\nwant %+v", FaultKey(c), FaultKey(k), got, want)
+		}
+	}
+	if mapped != 27 {
+		t.Errorf("%d cells map to a canonical cell, want 27", mapped)
 	}
 }

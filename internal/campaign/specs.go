@@ -389,12 +389,17 @@ func FaultKey(c sim.FaultCell) string {
 }
 
 // FaultsSpec schedules the techniques × fault models × rates
-// degradation grid as independent sweep cells.
+// degradation grid as independent sweep cells — canonical cells only: a
+// cell whose plan cannot reach its technique equals another cell bit for
+// bit (sim.FaultSweepConfig.Canonical), and the renderer reads that
+// cell's result for it.
 func FaultsSpec(ev Eval) Spec {
 	s := Spec{Name: "faults"}
 	sc := FaultSweepFor(ev)
 	for _, c := range sc.Cells() {
-		s.AddSweep(FaultKey(c), sc.CellConfig(c), c.Technique, sc.Seeds)
+		if sc.Canonical(c) == c {
+			s.AddSweep(FaultKey(c), sc.CellConfig(c), c.Technique, sc.Seeds)
+		}
 	}
 	return s
 }

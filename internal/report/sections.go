@@ -505,7 +505,7 @@ func renderFaults(w io.Writer, rc *Context) error {
 		"technique", "fault model", "rate", "flips", "overhead", "FPR",
 		"injected", "dropped", "delayed", "errors")
 	for _, c := range sc.Cells() {
-		sum, errs, err := rc.Results.LossySummary(campaign.FaultKey(c))
+		sum, errs, err := rc.Results.LossySummary(campaign.FaultKey(sc.Canonical(c)))
 		if err != nil {
 			return err
 		}

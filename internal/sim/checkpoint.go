@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -784,8 +783,9 @@ func ProbeFingerprint(key string) string {
 
 // Runner bundles the hardened pool configuration with an optional
 // checkpoint. It is the front door for experiment drivers: construct one
-// Runner per process, call RunSeeds for every sweep, and killed processes
-// resume from whatever the checkpoint captured.
+// Runner per process, call RunSeeds (or RunGroupSeeds, for sweeps that
+// share an access stream) for every sweep, and killed processes resume
+// from whatever the checkpoint captured.
 type Runner struct {
 	Config     RunnerConfig
 	Checkpoint *Checkpoint // nil disables persistence
@@ -793,88 +793,3 @@ type Runner struct {
 
 // NewRunner returns a Runner with DefaultRunnerConfig and no checkpoint.
 func NewRunner() *Runner { return &Runner{Config: DefaultRunnerConfig()} }
-
-// RunSeeds executes the sweep under ctx, consulting the checkpoint for
-// already-completed seeds and recording each newly completed seed as it
-// finishes. The summary always aggregates results in seed order —
-// checkpointed and fresh alike — so resumed and uninterrupted runs emit
-// identical tables.
-func (r *Runner) RunSeeds(ctx context.Context, cfg Config, technique string, seeds []uint64) (Summary, []*RunError, error) {
-	if len(seeds) == 0 {
-		return Summary{}, nil, fmt.Errorf("sim: no seeds")
-	}
-	fp := Fingerprint(cfg, technique, seeds)
-	// A custom Factory without a FactoryLabel is invisible to the
-	// fingerprint (two different closures would collide), so such sweeps
-	// bypass the checkpoint entirely — the documented Config contract.
-	ck := r.Checkpoint
-	if cfg.Factory != nil && cfg.FactoryLabel == "" {
-		ck = nil
-	}
-
-	cached := make([]*Result, len(seeds))
-	var todo []uint64
-	todoIdx := make(map[uint64]int, len(seeds))
-	for i, s := range seeds {
-		if res, ok := ck.lookup(fp, s); ok {
-			resCopy := res
-			cached[i] = &resCopy
-			continue
-		}
-		if _, dup := todoIdx[s]; !dup {
-			todoIdx[s] = i
-			todo = append(todo, s)
-		}
-	}
-
-	var failed []*RunError
-	if len(todo) > 0 {
-		rc := r.Config
-		inner := rc.runFn
-		if inner == nil {
-			inner = RunCtx
-		}
-		var mu sync.Mutex
-		fresh := make(map[uint64]Result, len(todo))
-		var ckptErr error
-		rc.runFn = func(ctx context.Context, c Config, tech string) (Result, error) {
-			res, err := inner(ctx, c, tech)
-			if err == nil {
-				mu.Lock()
-				fresh[c.Seed] = res
-				if e := ck.record(fp, c.Seed, res); e != nil && ckptErr == nil {
-					ckptErr = e
-				}
-				mu.Unlock()
-			}
-			return res, err
-		}
-		_, errs, err := RunSeedsCtx(ctx, rc, cfg, technique, todo)
-		if err != nil {
-			return Summary{}, nil, err
-		}
-		failed = errs
-		if ckptErr != nil {
-			return Summary{}, nil, ckptErr
-		}
-		for s, res := range fresh {
-			resCopy := res
-			cached[todoIdx[s]] = &resCopy
-		}
-	}
-
-	// Aggregate in seed order regardless of completion order or cache
-	// provenance.
-	var completed []Result
-	for i := range seeds {
-		if cached[i] == nil {
-			// Duplicate seeds share the first occurrence's result.
-			if j, ok := todoIdx[seeds[i]]; ok && cached[j] != nil {
-				completed = append(completed, *cached[j])
-			}
-			continue
-		}
-		completed = append(completed, *cached[i])
-	}
-	return Summarize(completed), failed, nil
-}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"tivapromi/internal/memctrl"
@@ -54,6 +55,34 @@ func BenchmarkLatencyProbe(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(cycles*float64(b.N)), "ns/cycle")
+		})
+	}
+}
+
+// BenchmarkRunGroup runs the same GroupCap members per iteration, alone
+// (members=1) and as one stream-sharing group (members=GroupCap), in ns
+// per member-access: the fused cost of one member's share of the
+// stream. The members are four different techniques, as in a campaign's
+// groups.
+func BenchmarkRunGroup(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Windows = 1
+	ctx := context.Background()
+	accesses := float64(cfg.Windows*cfg.Params.RefInt) * float64(memctrl.AccessesPerInterval(cfg.Params))
+	members := make([]Member, GroupCap)
+	for i, tech := range []string{"PARA", "TWiCe", "CaPRoMi", "LoLiPRoMi"}[:GroupCap] {
+		members[i] = Member{Config: cfg, Technique: tech}
+	}
+	for _, n := range []int{1, GroupCap} {
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for g := 0; g < len(members); g += n {
+					if _, err := RunGroup(ctx, members[g:g+n]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(accesses*float64(len(members)*b.N)), "ns/member-access")
 		})
 	}
 }

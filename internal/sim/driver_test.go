@@ -163,27 +163,41 @@ func TestRunCtxFaultPlansMatchGoldenTwoBank(t *testing.T) {
 }
 
 // TestRunCtxAllocsIndependentOfLength pins "0 allocs per access" for the
-// dispatch loop, the lanes and the mitigations together: a run four
-// times as long may allocate only a bounded handful more objects (table
-// growth that settles), never a number that scales with the accesses.
+// dispatch loop, the lanes and the mitigations together, for solo runs
+// and for groups at the cap: a run four times as long may allocate only
+// a bounded handful more objects per member (table growth that
+// settles), never a number that scales with the accesses.
 // TestActPathAllocFree in internal/hotpath covers the mitigations alone.
 func TestRunCtxAllocsIndependentOfLength(t *testing.T) {
 	const maxExtra = 16
 	ctx := context.Background()
-	allocs := func(technique string, windows int) float64 {
+	techs := append([]string{""}, TechniqueNames()...)
+	allocs := func(group []string, windows int) float64 {
 		cfg := DefaultConfig()
 		cfg.Windows = windows
+		members := make([]Member, len(group))
+		for i, tech := range group {
+			members[i] = Member{Config: cfg, Technique: tech}
+		}
 		return testing.AllocsPerRun(1, func() {
-			if _, err := RunCtx(ctx, cfg, technique); err != nil {
+			if _, err := RunGroup(ctx, members); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	for _, tech := range append([]string{""}, TechniqueNames()...) {
-		short, long := allocs(tech, 1), allocs(tech, 4)
+	for _, tech := range techs {
+		short, long := allocs([]string{tech}, 1), allocs([]string{tech}, 4)
 		if long-short > maxExtra {
 			t.Errorf("%q: RunCtx allocates %.0f objects at 4 windows, %.0f at 1: %.0f more, want at most %d",
 				tech, long, short, long-short, maxExtra)
+		}
+	}
+	for g := 0; g < len(techs); g += GroupCap {
+		group := techs[g:min(g+GroupCap, len(techs))]
+		short, long := allocs(group, 1), allocs(group, 4)
+		if limit := maxExtra * len(group); long-short > float64(limit) {
+			t.Errorf("group %q: RunGroup allocates %.0f objects at 4 windows, %.0f at 1: %.0f more, want at most %d",
+				group, long, short, long-short, limit)
 		}
 	}
 }

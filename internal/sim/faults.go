@@ -3,8 +3,11 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"tivapromi/internal/faults"
+	"tivapromi/internal/mitigation"
 )
 
 // FaultPoint is one cell of a degradation table: one technique under one
@@ -89,11 +92,85 @@ func (sc FaultSweepConfig) Validate() error {
 	return nil
 }
 
+// Canonical returns the grid cell whose results c equals bit for bit:
+// c itself, unless its fault plan cannot reach the technique. A state
+// upset needs mitigation state to flip (mitigation.StateInjectable) and
+// an RNG fault needs a decision source to degrade
+// (mitigation.RandSettable); without one the plan injects nothing and c
+// is the technique's None baseline. StuckRNG ignores Rate, so every
+// stuck-rng cell equals the one at the sweep's first rate. The mapped
+// cell is always in Cells(); sweeps simulate only canonical cells.
+func (sc FaultSweepConfig) Canonical(c FaultCell) FaultCell {
+	if !sc.reaches(c) && slices.Contains(sc.Models, faults.None) {
+		return FaultCell{Technique: c.Technique, Model: faults.None}
+	}
+	if c.Model == faults.StuckRNG && c.Rate > 0 && len(sc.Rates) > 0 && sc.Rates[0] > 0 {
+		c.Rate = sc.Rates[0]
+	}
+	return c
+}
+
+// reaches reports whether c's fault plan can act on its technique, by
+// asking which fault seams the technique's instances expose.
+func (sc FaultSweepConfig) reaches(c FaultCell) bool {
+	switch c.Model {
+	case faults.StateSEU, faults.StuckRNG, faults.BiasedRNG, faults.PeriodicRNG:
+	default:
+		return true // command-path and device faults act on every technique
+	}
+	t := sc.Base.Target()
+	t.Banks = 1
+	var s seam
+	switch {
+	case sc.Base.Factory != nil:
+		s = seamOf(sc.Base.Factory(t, sc.Base.Seed))
+	case c.Technique == "":
+		return false // an unprotected system has no mitigation to fault
+	default:
+		key := seamKey{c.Technique, t}
+		if v, ok := seams.Load(key); ok {
+			s = v.(seam)
+			break
+		}
+		f, err := mitigation.Lookup(c.Technique)
+		if err != nil {
+			return true // leave the error to the run
+		}
+		s = seamOf(f(t, sc.Base.Seed))
+		seams.Store(key, s)
+	}
+	if c.Model == faults.StateSEU {
+		return s.state
+	}
+	return s.rand
+}
+
+// seam records which fault seams a mitigation exposes.
+type seam struct{ state, rand bool }
+
+func seamOf(m mitigation.Mitigator) seam {
+	_, state := m.(mitigation.StateInjectable)
+	_, rand := m.(mitigation.RandSettable)
+	return seam{state, rand}
+}
+
+// seams caches the seams of registry techniques by name and target, so
+// building and rendering the fault grid does not instantiate every
+// technique each time. Registrations cannot be replaced, so an entry
+// never goes stale.
+var seams sync.Map // seamKey → seam
+
+type seamKey struct {
+	tech   string
+	target mitigation.Target
+}
+
 // FaultSweep runs the full techniques × models × rates grid under the
 // hardened runner and returns one FaultPoint per cell, in the order of
-// Cells(). A nil runner uses NewRunner(). Library convenience; the
-// experiment driver schedules the same cells in parallel through
-// campaign.FaultsSpec.
+// Cells(). Only canonical cells are simulated; the others reuse their
+// canonical cell's summary. A nil runner uses NewRunner(). Library
+// convenience; the experiment driver schedules the same cells in
+// parallel, grouped, through campaign.FaultsSpec.
 func FaultSweep(ctx context.Context, r *Runner, sc FaultSweepConfig) ([]FaultPoint, error) {
 	if r == nil {
 		r = NewRunner()
@@ -102,12 +179,20 @@ func FaultSweep(ctx context.Context, r *Runner, sc FaultSweepConfig) ([]FaultPoi
 		return nil, err
 	}
 	var points []FaultPoint
+	canonical := make(map[FaultCell]FaultPoint)
 	for _, cell := range sc.Cells() {
-		sum, runErrs, err := r.RunSeeds(ctx, sc.CellConfig(cell), cell.Technique, sc.Seeds)
-		if err != nil {
-			return points, fmt.Errorf("sim: fault sweep %s/%s@%g: %w", cell.Technique, cell.Model, cell.Rate, err)
+		k := sc.Canonical(cell)
+		p, ok := canonical[k]
+		if !ok {
+			sum, runErrs, err := r.RunSeeds(ctx, sc.CellConfig(k), k.Technique, sc.Seeds)
+			if err != nil {
+				return points, fmt.Errorf("sim: fault sweep %s/%s@%g: %w", k.Technique, k.Model, k.Rate, err)
+			}
+			p = FaultPointOf(k.Technique, k.Model, k.Rate, sum, len(runErrs))
+			canonical[k] = p
 		}
-		points = append(points, FaultPointOf(cell.Technique, cell.Model, cell.Rate, sum, len(runErrs)))
+		p.Model, p.Rate = cell.Model, cell.Rate
+		points = append(points, p)
 		if err := ctx.Err(); err != nil {
 			return points, err
 		}

@@ -102,10 +102,11 @@ func ReplayTrace(r *trace.Reader, technique string, flipThreshold uint32) (Resul
 // interval crossing, so the trace carries exactly one IntervalEnd per
 // global interval, placed after that interval's activations.
 func RecordTrace(cfg Config, w *trace.Writer) error {
-	env, err := prepareRun(cfg, "")
+	src, envs, err := prepareGroup([]Member{{Config: cfg}})
 	if err != nil {
 		return err
 	}
+	env := envs[0]
 	var werr error
 	for b, l := range env.lanes {
 		bank := b
@@ -133,19 +134,18 @@ func RecordTrace(cfg Config, w *trace.Writer) error {
 			l.CatchUp(iv)
 		}
 	}
-	total := env.intervals * env.api
-	iv, rem := 0, env.api
-	for i := 0; i < total; i++ {
-		a := env.st.gen()
+	iv, rem := 0, src.api
+	for i := 0; i < src.total(); i++ {
+		a := src.st.gen()
 		if rem == 0 {
 			iv++
-			rem = env.api
+			rem = src.api
 			catchUpAll(iv)
 		}
 		rem--
 		env.lanes[a.Bank].Access(int32(a.Row), a.Write)
 	}
-	catchUpAll(env.intervals)
+	catchUpAll(src.intervals)
 	if werr != nil {
 		return werr
 	}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,22 +94,24 @@ type RunnerConfig struct {
 	StallTimeout time.Duration
 
 	// Gate optionally bounds concurrency across several sweeps sharing
-	// the same channel: every run (and every RunnerConfig.Do probe)
-	// holds one token for its duration. The campaign scheduler threads
-	// one gate through all cells of a campaign so cross-section
-	// parallelism never exceeds the campaign's worker budget, however
-	// many sweeps are in flight. nil means only Workers bounds
-	// concurrency.
+	// the same channel: every run of a seed (a whole group, when members
+	// share it) and every RunnerConfig.Do probe holds one token for its
+	// duration. The campaign scheduler threads one gate through all
+	// cells of a campaign so cross-section parallelism never exceeds the
+	// campaign's worker budget, however many sweeps are in flight. nil
+	// means only Workers bounds concurrency.
 	Gate chan struct{}
 
-	// runFn overrides the run function for tests (nil = RunCtx).
+	// runFn overrides the run function for tests (nil = RunCtx). A
+	// hooked runner runs every group member alone through it.
 	runFn func(context.Context, Config, string) (Result, error)
 }
 
 // SetRunFnForTest overrides the run function (nil restores RunCtx). It
 // exists for cross-package tests — the campaign scheduler's hardening
 // tests inject deterministic stalls and failures below the scheduler —
-// and is never called by production code.
+// and is never called by production code. A hooked runner runs each
+// member of a group alone, so fn sees one (Config, technique) per call.
 func (rc *RunnerConfig) SetRunFnForTest(fn func(context.Context, Config, string) (Result, error)) {
 	rc.runFn = fn
 }
@@ -153,123 +154,89 @@ func (rc RunnerConfig) jitter(seed uint64) *RetryJitter {
 // The returned error is non-nil only for unusable inputs (no seeds);
 // per-seed failures, including cancellation, are reported in the RunError
 // slice (ordered by seed position) while the Summary covers the seeds
-// that finished.
+// that finished. It is Runner.RunSeeds without a checkpoint.
 func RunSeedsCtx(ctx context.Context, rc RunnerConfig, cfg Config, technique string, seeds []uint64) (Summary, []*RunError, error) {
-	if len(seeds) == 0 {
-		return Summary{}, nil, fmt.Errorf("sim: no seeds")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	run := rc.runFn
-	if run == nil {
-		run = RunCtx
-	}
-
-	results := make([]*Result, len(seeds))
-	errs := make([]*RunError, len(seeds))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < rc.workers(len(seeds)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				c := cfg
-				c.Seed = seeds[i]
-				if !acquireGate(ctx, rc.Gate) {
-					errs[i] = &RunError{Seed: seeds[i], Attempts: 0, Err: ctx.Err()}
-					continue
-				}
-				res, attempts, err := runWithRetry(ctx, rc, run, c, technique)
-				releaseGate(rc.Gate)
-				if err != nil {
-					errs[i] = &RunError{Seed: seeds[i], Attempts: attempts, Err: err}
-					continue
-				}
-				results[i] = &res
-			}
-		}()
-	}
-feed:
-	for i := range seeds {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			// Mark every unfed seed as canceled without attempting it.
-			for j := i; j < len(seeds); j++ {
-				if errs[j] == nil && results[j] == nil {
-					errs[j] = &RunError{Seed: seeds[j], Attempts: 0, Err: ctx.Err()}
-				}
-			}
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	var completed []Result
-	var failed []*RunError
-	for i := range seeds {
-		switch {
-		case results[i] != nil:
-			completed = append(completed, *results[i])
-		case errs[i] != nil:
-			failed = append(failed, errs[i])
-		}
-	}
-	return Summarize(completed), failed, nil
+	return (&Runner{Config: rc}).RunSeeds(ctx, cfg, technique, seeds)
 }
 
-// runWithRetry attempts one seed with panic recovery, a per-run
+// attempt labels one run attempt in traces and events: the technique(s),
+// the seed, the campaign cell(s) and the group's member count.
+type attempt struct {
+	technique string
+	seed      uint64
+	cell      string
+	members   int
+}
+
+// attemptOf labels an attempt of the given group (one member for a solo
+// run).
+func attemptOf(group []Member) attempt {
+	a := attempt{seed: group[0].Config.Seed, members: len(group)}
+	for i, m := range group {
+		if i > 0 {
+			a.technique += ","
+			a.cell += ","
+		}
+		a.technique += m.Technique
+		a.cell += m.Cell
+	}
+	return a
+}
+
+func (a attempt) seedHex() string { return "0x" + strconv.FormatUint(a.seed, 16) }
+
+// runWithRetry makes attempts at fn with panic recovery, a per-run
 // deadline, the stall watchdog, and seeded decorrelated-jitter backoff
-// between attempts.
-func runWithRetry(ctx context.Context, rc RunnerConfig, run func(context.Context, Config, string) (Result, error), cfg Config, technique string) (Result, int, error) {
+// between attempts. It returns the number of attempts made.
+func runWithRetry(ctx context.Context, rc RunnerConfig, a attempt, fn func(context.Context) error) (int, error) {
 	var lastErr error
 	var jit *RetryJitter
 	attempts := 0
-	for attempt := 0; ; attempt++ {
+	for {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return Result{}, attempts, lastErr
+				return attempts, lastErr
 			}
-			return Result{}, attempts, err
+			return attempts, err
 		}
 		attempts++
-		res, err := runOnce(ctx, rc, run, cfg, technique)
+		err := runOnce(ctx, rc, a, fn)
 		if err == nil {
-			return res, attempts, nil
+			return attempts, nil
 		}
 		lastErr = err
-		if attempt >= rc.Retries || !retriable(ctx, err) {
-			return Result{}, attempts, err
+		if attempts > rc.Retries || !retriable(ctx, err) {
+			return attempts, err
 		}
 		obs.RunRetries.Inc()
 		obs.Instant("run-retry", "runner",
-			"seed", "0x"+strconv.FormatUint(cfg.Seed, 16),
+			"seed", a.seedHex(),
 			"attempt", strconv.Itoa(attempts),
 			"err", err.Error())
 		obs.Emit("run-retry",
-			"seed", "0x"+strconv.FormatUint(cfg.Seed, 16),
+			"seed", a.seedHex(),
 			"attempt", strconv.Itoa(attempts),
 			"err", err.Error())
 		if jit == nil {
-			jit = rc.jitter(cfg.Seed)
+			jit = rc.jitter(a.seed)
 		}
 		if !sleepCtx(ctx, jit.Next()) {
-			return Result{}, attempts, lastErr
+			return attempts, lastErr
 		}
 	}
 }
 
-// runOnce executes one simulation, converting a panic into a PanicError,
-// enforcing the per-run deadline, and — when StallTimeout is armed —
-// running the heartbeat watchdog beside the workload.
-func runOnce(ctx context.Context, rc RunnerConfig, run func(context.Context, Config, string) (Result, error), cfg Config, technique string) (res Result, err error) {
+// runOnce makes one attempt at fn, converting a panic into a PanicError,
+// enforcing the per-run deadline (scaled by the group's member count),
+// and — when StallTimeout is armed — running the heartbeat watchdog
+// beside the workload.
+func runOnce(ctx context.Context, rc RunnerConfig, a attempt, fn func(context.Context) error) (err error) {
 	obs.RunAttempts.Inc()
 	span := obs.StartSpan("run-attempt", "runner",
-		"technique", technique,
-		"seed", "0x"+strconv.FormatUint(cfg.Seed, 16))
+		"technique", a.technique,
+		"seed", a.seedHex(),
+		"cell", a.cell,
+		"members", strconv.Itoa(a.members))
 	defer func() {
 		outcome := "ok"
 		switch {
@@ -286,7 +253,7 @@ func runOnce(ctx context.Context, rc RunnerConfig, run func(context.Context, Con
 	runCtx := ctx
 	if rc.PerRunTimeout > 0 {
 		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, rc.PerRunTimeout)
+		runCtx, cancel = context.WithTimeout(ctx, rc.PerRunTimeout*time.Duration(a.members))
 		defer cancel()
 	}
 	var stalled atomic.Bool
@@ -305,12 +272,12 @@ func runOnce(ctx context.Context, rc RunnerConfig, run func(context.Context, Con
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}
 			obs.RunPanics.Inc()
 			obs.Emit("run-panic",
-				"seed", "0x"+strconv.FormatUint(cfg.Seed, 16),
-				"technique", technique,
+				"seed", a.seedHex(),
+				"technique", a.technique,
 				"value", fmt.Sprint(r))
 		}
 	}()
-	res, err = run(runCtx, cfg, technique)
+	err = fn(runCtx)
 	switch {
 	case err != nil && stalled.Load():
 		// The stall watchdog cancelled this attempt: classify apart from
@@ -320,15 +287,15 @@ func runOnce(ctx context.Context, rc RunnerConfig, run func(context.Context, Con
 		err = fmt.Errorf("%w (no heartbeat within %s): %w", ErrStalled, rc.StallTimeout, err)
 		obs.RunStalls.Inc()
 		obs.Emit("run-stall",
-			"seed", "0x"+strconv.FormatUint(cfg.Seed, 16),
-			"technique", technique,
+			"seed", a.seedHex(),
+			"technique", a.technique,
 			"stall_timeout", rc.StallTimeout.String())
 	case err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 		// The per-run deadline fired, not the sweep's context: the run is
 		// deterministic, so a retry would overrun again.
 		err = permanent(err)
 	}
-	return res, err
+	return err
 }
 
 // retriable reports whether a failure is worth another attempt: panics,
@@ -361,9 +328,7 @@ func (rc RunnerConfig) Do(ctx context.Context, fn func(context.Context) error) e
 		return ctx.Err()
 	}
 	defer releaseGate(rc.Gate)
-	_, _, err := runWithRetry(ctx, rc, func(c context.Context, _ Config, _ string) (Result, error) {
-		return Result{}, fn(c)
-	}, Config{}, "")
+	_, err := runWithRetry(ctx, rc, attempt{members: 1}, fn)
 	return err
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Scale smoke: prove that a full-DIMM geometry simulates with heap
 // proportional to the rows the workload touches, not the row population.
-// The run is driven through the normal prepareRun/run pipeline, but
+// The run is driven through the normal prepareGroup/drive pipeline, but
 // the environment is kept reachable across a forced GC so the live-heap
 // delta actually reflects the retained simulation state, and the per-lane
 // device accounting (StateBytes, TouchedRows) is read before teardown.
@@ -98,13 +98,14 @@ func ScaleSmoke(ctx context.Context, cfg Config, technique string) (ScaleSmokeRe
 	runtime.ReadMemStats(&before)
 
 	start := time.Now()
-	env, err := prepareRun(cfg, technique)
+	src, envs, err := prepareGroup([]Member{{Config: cfg, Technique: technique}})
 	if err != nil {
 		return rep, err
 	}
-	if err := env.run(ctx); err != nil {
+	if err := src.drive(ctx, envs); err != nil {
 		return rep, err
 	}
+	env := envs[0]
 	res := env.collect()
 	rep.Seconds = time.Since(start).Seconds()
 

@@ -7,7 +7,9 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 
 	"tivapromi/internal/bitset"
 	"tivapromi/internal/dram"
@@ -212,58 +214,116 @@ func Run(cfg Config, technique string) (Result, error) {
 // cadence it ticks the context's Heartbeat, so the hardened runner's
 // stall watchdog can tell a wedged run from a slow one.
 //
-// The driver is one loop: generate an access, route it to its bank's
-// lane, repeat. A lane fires the refresh boundaries it has missed only
-// on its first access of a new interval, so a bank's whole evolution is
-// a function of its own access subsequence and the access index.
+// RunCtx is the one-member group: see RunGroup for the driver.
 func RunCtx(ctx context.Context, cfg Config, technique string) (Result, error) {
-	env, err := prepareRun(cfg, technique)
+	res, err := RunGroup(ctx, []Member{{Config: cfg, Technique: technique}})
 	if err != nil {
 		return Result{}, err
 	}
-	if err := env.run(ctx); err != nil {
-		return Result{}, err
+	return res[0], nil
+}
+
+// Member is one run of a stream-sharing group: a technique under a
+// configuration. Cell labels the member's run-attempt spans (a campaign
+// passes its cell key); it never affects results.
+type Member struct {
+	Config    Config
+	Technique string
+	Cell      string
+}
+
+// StreamKey returns cfg reduced to the fields its access stream depends
+// on: Params, Windows, AttackBanks, the aggressor ramp, AttackShare and
+// Seed. The others — Policy, RemapSwaps, Factory, FactoryLabel and
+// Fault — act on the device and the mitigation only, so configurations
+// with equal stream keys generate the same accesses and can run as one
+// group.
+func (c Config) StreamKey() Config {
+	c.Policy, c.RemapSwaps = PolicyNeighbors, 0
+	c.Factory, c.FactoryLabel = nil, ""
+	c.Fault = faults.Plan{}
+	return c
+}
+
+// RunGroup runs members that share one access stream (equal StreamKeys)
+// together. The driver generates the stream once, blockLen accesses at a
+// time, and feeds each block through every member's lanes in turn: route
+// an access to its bank's lane, repeat. A lane fires the refresh
+// boundaries it has missed only on its first access of a new interval,
+// so a bank's whole evolution is a function of its own access
+// subsequence and the access index — each member's Result equals its
+// solo RunCtx bit for bit. Members whose stream keys differ are a
+// permanent error.
+//
+// The driver polls ctx and ticks the context's Heartbeat once per block.
+func RunGroup(ctx context.Context, members []Member) ([]Result, error) {
+	src, envs, err := prepareGroup(members)
+	if err != nil {
+		return nil, err
 	}
-	return env.collect(), nil
+	if err := src.drive(ctx, envs); err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(envs))
+	for i, e := range envs {
+		out[i] = e.collect()
+	}
+	return out, nil
 }
 
 // DrainStream generates cfg's full access stream without servicing any
-// of it — the trace-generation stage in isolation, through the same
-// generator RunCtx consumes. Returns the number of accesses generated.
+// of it — the trace-generation stage in isolation: the group driver with
+// no members. Returns the number of accesses generated.
 func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, permanent(err)
-	}
-	api := memctrl.AccessesPerInterval(cfg.Params)
-	st, err := newStream(cfg, api)
+	src, _, err := prepareGroup([]Member{{Config: cfg}})
 	if err != nil {
 		return 0, err
 	}
-	total := cfg.Windows * cfg.Params.RefInt * api
-	for i := 0; i < total; i++ {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-		}
-		st.gen()
+	if err := src.drive(ctx, nil); err != nil {
+		return 0, err
 	}
-	return uint64(total), nil
+	return uint64(src.total()), nil
 }
 
-// runEnv is a fully wired simulation: one memctrl.Lane per bank (each
-// with its own single-bank device, mitigation instance, fault
-// instrumentation and classification hook) plus the shared traffic
-// stream. The refresh timeline is count-based — access i of the run
-// belongs to global refresh interval i/api — so a lane's entire evolution
-// is a function of its own access subsequence.
-type runEnv struct {
-	cfg       Config
+// blockLen is the group driver's block: the accesses generated at once
+// and serviced by every member before the next block. It is also the
+// cadence of the ctx poll and the heartbeat.
+const blockLen = 1024
+
+// accessBlock holds one block of generated accesses in SoA form. The
+// refresh interval of an access is not stored: it follows from the
+// access index.
+type accessBlock struct {
+	row   [blockLen]int32
+	bank  [blockLen]int32
+	write [blockLen]bool
+}
+
+// source is a group's shared traffic: the access stream, its length, and
+// the per-bank aggressor ground truth every member classifies its extra
+// activations against. The refresh timeline is count-based — access i of
+// the run belongs to global refresh interval i/api.
+type source struct {
+	st        *stream
 	api       int // accesses per global refresh interval
 	intervals int // total refresh intervals (Windows * RefInt)
+	// aggRows is the false-positive ground truth, per bank: an extra
+	// activation is a true positive when it restores a potential victim
+	// of a real aggressor. Dense row bitsets (nil for banks without
+	// aggressors) keep the per-command check to one bit probe.
+	aggRows []*bitset.Bitset
+}
+
+func (src *source) total() int { return src.intervals * src.api }
+
+// runEnv is one member's fully wired simulation: one memctrl.Lane per
+// bank (each with its own single-bank device, mitigation instance, fault
+// instrumentation and classification hook), fed by the group's source.
+type runEnv struct {
+	src       *source
 	lanes     []*memctrl.Lane
-	harnesses []*faults.Harness // per lane; nil without an active plan
-	st        *stream
+	laneIv    []int32              // per lane: the interval it was last caught up to
+	harnesses []*faults.Harness    // per lane; nil without an active plan
 	mit0      mitigation.Mitigator // lane 0's (possibly fault-wrapped) instance
 	falseActs []uint64             // per lane
 	res       Result               // identity fields
@@ -275,30 +335,70 @@ func laneSeed(seed uint64, bank int) uint64 {
 	return seed + uint64(bank)*0x9e3779b97f4a7c15
 }
 
-// prepareRun builds the runEnv for one configuration: everything that
-// determines behavior lives here, shared by RunCtx, RecordTrace and
-// ScaleSmoke.
-func prepareRun(cfg Config, technique string) (*runEnv, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, permanent(err)
+// prepareGroup validates the members and builds the group's source and
+// one runEnv per member: everything that determines behavior lives here,
+// shared by RunGroup, DrainStream, RecordTrace and ScaleSmoke.
+func prepareGroup(members []Member) (*source, []*runEnv, error) {
+	if len(members) == 0 {
+		return nil, nil, permanent(errors.New("sim: empty group"))
 	}
-	var factory mitigation.Factory
-	if cfg.Factory != nil {
-		factory = cfg.Factory
-	} else if technique != "" {
-		f, err := mitigation.Lookup(technique)
-		if err != nil {
-			return nil, permanent(err)
+	factories := make([]mitigation.Factory, len(members))
+	for i, m := range members {
+		if err := m.Config.Validate(); err != nil {
+			return nil, nil, permanent(err)
 		}
-		factory = f
+		if i > 0 && !reflect.DeepEqual(m.Config.StreamKey(), members[0].Config.StreamKey()) {
+			return nil, nil, permanent(fmt.Errorf("sim: group member %d (%q) does not share member 0's access stream", i, m.Technique))
+		}
+		factories[i] = m.Config.Factory
+		if factories[i] == nil && m.Technique != "" {
+			f, err := mitigation.Lookup(m.Technique)
+			if err != nil {
+				return nil, nil, permanent(err)
+			}
+			factories[i] = f
+		}
 	}
+	src, err := newSource(members[0].Config)
+	if err != nil {
+		return nil, nil, err
+	}
+	envs := make([]*runEnv, len(members))
+	for i, m := range members {
+		if envs[i], err = newRunEnv(m.Config, factories[i], src); err != nil {
+			return nil, nil, err
+		}
+	}
+	return src, envs, nil
+}
 
+// newSource builds the shared traffic of every configuration with cfg's
+// stream key.
+func newSource(cfg Config) (*source, error) {
 	api := memctrl.AccessesPerInterval(cfg.Params)
 	st, err := newStream(cfg, api)
 	if err != nil {
 		return nil, err
 	}
+	banks, rpb := cfg.Params.TotalBanks(), cfg.Params.RowsPerBank
+	aggRows := make([]*bitset.Bitset, banks)
+	if st.att != nil {
+		st.att.EachAggressor(func(bank, row int) {
+			if bank < 0 || bank >= banks || row < 0 || row >= rpb {
+				return
+			}
+			if aggRows[bank] == nil {
+				aggRows[bank] = bitset.New(rpb)
+			}
+			aggRows[bank].Set(row)
+		})
+	}
+	return &source{st: st, api: api, intervals: cfg.Windows * cfg.Params.RefInt, aggRows: aggRows}, nil
+}
 
+// newRunEnv wires one member: its lanes, devices, mitigation instances
+// and fault instrumentation. factory is nil for an unprotected system.
+func newRunEnv(cfg Config, factory mitigation.Factory, src *source) (*runEnv, error) {
 	banks := cfg.Params.TotalBanks()
 	rpb := cfg.Params.RowsPerBank
 	laneParams := cfg.Params
@@ -330,33 +430,15 @@ func prepareRun(cfg Config, technique string) (*runEnv, error) {
 	basePlan := cfg.Fault
 	basePlan.Seed = cfg.Fault.Seed ^ (cfg.Seed * 0x9e3779b97f4a7c15)
 
-	// False-positive ground truth, per bank: an extra activation is a
-	// true positive when it restores a potential victim of a real
-	// aggressor. Dense row bitsets (nil for banks without aggressors)
-	// keep the per-command check to one bit probe.
-	aggRows := make([]*bitset.Bitset, banks)
-	if st.att != nil {
-		st.att.EachAggressor(func(bank, row int) {
-			if bank < 0 || bank >= banks || row < 0 || row >= rpb {
-				return
-			}
-			if aggRows[bank] == nil {
-				aggRows[bank] = bitset.New(rpb)
-			}
-			aggRows[bank].Set(row)
-		})
-	}
-
 	env := &runEnv{
-		cfg:       cfg,
-		api:       api,
-		intervals: cfg.Windows * cfg.Params.RefInt,
+		src:       src,
 		lanes:     make([]*memctrl.Lane, banks),
+		laneIv:    make([]int32, banks),
 		harnesses: make([]*faults.Harness, banks),
-		st:        st,
 		falseActs: make([]uint64, banks),
 	}
 	for b := 0; b < banks; b++ {
+		env.laneIv[b] = -1
 		// Every lane gets its own policy instance seeded with the base
 		// seed: all banks refresh the same rows each interval, exactly as
 		// one shared multi-bank device would.
@@ -394,7 +476,7 @@ func prepareRun(cfg Config, technique string) (*runEnv, error) {
 		if weaken := faults.WeakCellInjector(plan, dev); weaken != nil {
 			lane.SetAccessTick(weaken)
 		}
-		bs := aggRows[b]
+		bs := src.aggRows[b]
 		ctr := &env.falseActs[b]
 		lane.SetCommandHook(func(cmd mitigation.Command) {
 			protective := false
@@ -428,50 +510,62 @@ func rowIsAggressor(bs *bitset.Bitset, row, rpb int) bool {
 	return bs != nil && row >= 0 && row < rpb && bs.Get(row)
 }
 
-// run drives the whole access stream through the lanes (see RunCtx).
-func (e *runEnv) run(ctx context.Context) error {
+// drive generates the whole stream block by block and services each
+// block through every member (see RunGroup); with no members it only
+// generates.
+func (src *source) drive(ctx context.Context, envs []*runEnv) error {
 	hb := HeartbeatFrom(ctx)
-	// laneIv[b] is the interval lane b was last caught up to; the gate
-	// replaces a CatchUp call per access with a compare that only fails
-	// on a lane's first access of a new interval.
-	laneIv := make([]int32, len(e.lanes))
-	for i := range laneIv {
-		laneIv[i] = -1
-	}
-	total := e.intervals * e.api
-	iv, rem := int32(0), e.api
-	api, lanes, st := e.api, e.lanes, e.st
-	for i := 0; i < total; i++ {
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if hb != nil {
-				hb.Tick()
-			}
+	blk := new(accessBlock)
+	total := src.total()
+	for base := 0; base < total; base += blockLen {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		a := st.gen()
+		if hb != nil {
+			hb.Tick()
+		}
+		n := min(blockLen, total-base)
+		src.st.fill(blk, n)
+		for _, e := range envs {
+			e.serve(blk, base, n)
+		}
+	}
+	for _, e := range envs {
+		e.finish()
+	}
+	return nil
+}
+
+// serve routes the first n accesses of blk, whose first access is access
+// base of the run, to the member's lanes. The laneIv gate replaces a
+// CatchUp call per access with a compare that only fails on a lane's
+// first access of a new interval.
+func (e *runEnv) serve(blk *accessBlock, base, n int) {
+	api := e.src.api
+	iv, rem := int32(base/api), api-base%api
+	lanes, laneIv := e.lanes, e.laneIv
+	rows, banks, writes := blk.row[:n], blk.bank[:n], blk.write[:n]
+	for j, row := range rows {
 		if rem == 0 {
 			iv++
 			rem = api
 		}
 		rem--
-		l := lanes[a.Bank]
-		if laneIv[a.Bank] != iv {
+		b := banks[j]
+		l := lanes[b]
+		if laneIv[b] != iv {
 			l.CatchUp(int(iv))
-			laneIv[a.Bank] = iv
+			laneIv[b] = iv
 		}
-		l.Access(int32(a.Row), a.Write)
+		l.Access(row, writes[j])
 	}
-	e.finish()
-	return nil
 }
 
 // finish fires every lane's outstanding refresh boundaries so all lanes
 // end the run at the same interval count.
 func (e *runEnv) finish() {
 	for _, l := range e.lanes {
-		l.CatchUp(e.intervals)
+		l.CatchUp(e.src.intervals)
 	}
 }
 
@@ -500,7 +594,7 @@ func (e *runEnv) collect() Result {
 		}
 		res.FalseActs += e.falseActs[b]
 	}
-	res.AttackerActs = e.st.attackerAccesses // attacker accesses are all misses
+	res.AttackerActs = e.src.st.attackerAccesses // attacker accesses are all misses
 	if res.TotalActs > 0 {
 		res.OverheadPct = 100 * float64(res.ExtraActs) / float64(res.TotalActs)
 		res.FPRPct = 100 * float64(res.FalseActs) / float64(res.TotalActs)
@@ -540,8 +634,8 @@ func techniqueName(m mitigation.Mitigator) string {
 
 // stream interleaves the SPEC-like mix with the attacker at the
 // configured share. Generation reads only the stream's own RNG and
-// generators — never device or lane state — so RunCtx, DrainStream and
-// RecordTrace all consume this one sequence.
+// generators — never device or lane state — so every member of a group,
+// DrainStream and RecordTrace all consume this one sequence.
 type stream struct {
 	att     *workload.Attacker
 	mix     *workload.SpecMixGen
@@ -582,6 +676,15 @@ func newStream(cfg Config, api int) (*stream, error) {
 	st.src = rng.NewXorShift64Star(cfg.Seed ^ 0xd21ce)
 	st.shareFP = uint64(cfg.AttackShare * float64(1<<32))
 	return st, nil
+}
+
+// fill generates the next n accesses into blk.
+func (st *stream) fill(blk *accessBlock, n int) {
+	rows, banks, writes := blk.row[:n], blk.bank[:n], blk.write[:n]
+	for j := range rows {
+		a := st.gen()
+		rows[j], banks[j], writes[j] = int32(a.Row), int32(a.Bank), a.Write
+	}
 }
 
 // gen produces the next access of the interleaved sequence. The
