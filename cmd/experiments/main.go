@@ -147,6 +147,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -263,7 +265,7 @@ func (a *app) runSections(ctx context.Context, names []string) error {
 		}
 		p := pending{def: def}
 		if a.resume {
-			if text, ok := ck.Output(name); ok {
+			if text, ok := ck.Output(a.outputKey(name)); ok {
 				p.replay = text
 				sections = append(sections, p)
 				continue
@@ -348,9 +350,25 @@ func (a *app) renderSection(def report.SectionDef, rc *report.Context) (skipped 
 		return false, err
 	}
 	if ck := a.runner.Checkpoint; ck != nil {
-		return false, ck.PutOutput(def.Name, buf.String())
+		return false, ck.PutOutput(a.outputKey(def.Name), buf.String())
 	}
 	return false, nil
+}
+
+// outputKey names a section's cached output: the section name plus a
+// fingerprint of the knobs its bytes depend on (the Eval and -csv), so
+// a -resume under different knobs (say, more -seeds) re-renders instead
+// of replaying a stale section. Entries cached under a bare section
+// name never match.
+func (a *app) outputKey(name string) string {
+	// Eval holds only plain data (sim.Config's Factory is json:"-"), so
+	// encoding cannot fail.
+	raw, _ := json.Marshal(struct {
+		Eval campaign.Eval
+		CSV  bool
+	}{a.ev, a.csv})
+	h := sha256.Sum256(raw)
+	return name + "@" + hex.EncodeToString(h[:8])
 }
 
 // onProgress returns the campaign progress sink (nil when -progress is

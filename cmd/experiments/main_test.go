@@ -145,6 +145,49 @@ func TestKilledCampaignResumesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeWithMoreSeedsRendersFresh raises -seeds against a
+// checkpoint under -resume: the section must re-render from the wider
+// sweep, equal to a fresh run at the new seed count, instead of
+// replaying the narrower sweep's cached output. The earlier seed is
+// reused rather than re-simulated.
+func TestResumeWithMoreSeedsRendersFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three-seed fig4 sweeps; skipped in -short")
+	}
+	narrow, wide := testEval(), testEval()
+	narrow.SeedsPerPoint, wide.SeedsPerPoint = 1, 3
+
+	fresh, freshBuf := newTestApp(wide, 2)
+	if err := fresh.runSections(context.Background(), []string{"fig4"}); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "ck.json")
+	run := func(ev campaign.Eval) (string, sim.CacheStats) {
+		ck, err := sim.LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, buf := newTestApp(ev, 2)
+		a.runner.Checkpoint = ck
+		a.resume = true
+		if err := a.runSections(context.Background(), []string{"fig4"}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), ck.CacheStats()
+	}
+	run(narrow)
+	got, st := run(wide)
+	if got != freshBuf.String() {
+		t.Fatalf("-resume at -seeds 3 differs from a fresh -seeds 3 run:\n%s", firstDiff(freshBuf.String(), got))
+	}
+	techs := int64(len(sim.TechniqueNames()))
+	if st.SweepHits != techs || st.SweepMisses != 2*techs {
+		t.Fatalf("cache: %d hits, %d misses; want %d hits (the first seed of each sweep), %d misses",
+			st.SweepHits, st.SweepMisses, techs, 2*techs)
+	}
+}
+
 // cancelAfterLines is a progress writer that cancels the campaign once
 // it has reported n cells.
 type cancelAfterLines struct {

@@ -90,7 +90,7 @@ type Progress struct {
 	Attempts    int           // attempts this cell consumed (≥ 1)
 	Skipped     bool          // the scheduler parked this cell
 	Note        string        // checkpoint-load report (quarantine, salvage, migration)
-	CellElapsed time.Duration // this cell's wall-clock time from admission
+	CellElapsed time.Duration // wall-clock from the cell's admission to done (a group's members share it)
 	Elapsed     time.Duration // campaign wall-clock so far
 	ETA         time.Duration // naive remaining-time estimate
 }
@@ -321,7 +321,11 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 
 	// complete settles a unit whose runs are over: re-attempts for the
 	// cells that failed transiently, then one span, metric and progress
-	// event per cell, timed from the unit's admission.
+	// event per cell. The unit's admission-to-done time is shared by its
+	// members: each cell's CellElapsed reports the whole interval (the
+	// latency a progress line shows), while its span and
+	// tivapromi_cell_seconds take an equal 1/k slice of it, laid end to
+	// end, so cell time adds up to the pool time the unit held.
 	complete := func(u *unit) {
 		if u.sweep != nil {
 			for i, out := range u.sweep.Results(ctx) {
@@ -330,16 +334,21 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 			}
 		}
 		for i, c := range u.cells {
+			u.crs[i].Attempts = 1
+			retryCell(ctx, &runner, c, u.crs[i], pol)
+		}
+		end := time.Now()
+		admittedAt := u.admitted
+		if admittedAt.IsZero() {
+			admittedAt = end // never admitted: cached or cancelled
+		}
+		elapsed := end.Sub(admittedAt)
+		share := elapsed / time.Duration(len(u.cells))
+		for i, c := range u.cells {
 			cr := u.crs[i]
-			cr.Attempts = 1
-			retryCell(ctx, &runner, c, cr, pol)
-			end := time.Now()
-			admittedAt := u.admitted
-			if admittedAt.IsZero() {
-				admittedAt = end // never admitted: cached or cancelled
-			}
-			cr.Elapsed = end.Sub(admittedAt)
-			obs.CellSeconds.Observe(cr.Elapsed.Seconds())
+			cr.Elapsed = elapsed
+			from := admittedAt.Add(time.Duration(i) * share)
+			obs.CellSeconds.Observe(share.Seconds())
 			if cr.Attempts > 1 {
 				obs.CellRetries.Add(uint64(cr.Attempts - 1))
 			}
@@ -356,7 +365,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 					obs.CellsCached.Inc()
 				}
 			}
-			obs.SpanBetween("cell", "campaign", admittedAt, end,
+			obs.SpanBetween("cell", "campaign", from, from.Add(share),
 				"campaign", spec.Name, "cell", c.Key, "tenant", opts.Tenant,
 				"members", strconv.Itoa(len(u.cells)),
 				"outcome", outcome, "attempts", strconv.Itoa(cr.Attempts))

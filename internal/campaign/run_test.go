@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"tivapromi/internal/obs"
 	"tivapromi/internal/sim"
 )
 
@@ -298,5 +300,31 @@ func TestFaultCanonicalCellsEqual(t *testing.T) {
 	}
 	if mapped != 27 {
 		t.Errorf("%d cells map to a canonical cell, want 27", mapped)
+	}
+}
+
+// TestCellSecondsFitThePool checks grouped-cell time attribution: the
+// members of a stream-sharing group split their group's time instead of
+// each claiming all of it, so the campaign's cell seconds cannot exceed
+// what the worker pool had to give.
+func TestCellSecondsFitThePool(t *testing.T) {
+	const workers = 2
+	var s Spec
+	s.Name = "pool"
+	for _, tech := range sim.TechniqueNames()[:8] {
+		s.AddSweep("sweep/"+tech, fastConfig(), tech, sim.Seeds(1, 2))
+	}
+	before := obs.CellSeconds.Sum()
+	start := time.Now()
+	rs, err := Run(context.Background(), s, Options{Workers: workers})
+	wall := time.Since(start).Seconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := obs.CellSeconds.Sum()-before, 1.05*workers*wall; got > limit {
+		t.Fatalf("cells charged %.3f s; %d workers over %.3f s of wall give at most %.3f s", got, workers, wall, limit)
 	}
 }

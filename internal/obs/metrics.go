@@ -64,7 +64,7 @@ var (
 	DedupHits = Default.Counter("tivapromi_dedup_hits_total",
 		"Checkpoint cache hits (sweep and probe), i.e. work deduplicated across runs and tenants.")
 	CellSeconds = Default.Histogram("tivapromi_cell_seconds",
-		"Wall-clock seconds per campaign cell.",
+		"Wall-clock seconds per campaign cell: an equal share of its admission unit's time.",
 		[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2, 10, 60})
 )
 

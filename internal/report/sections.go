@@ -67,13 +67,15 @@ func Section(name string) (SectionDef, bool) {
 	return SectionDef{}, false
 }
 
-// paperTarget describes the full-scale device to mitigation factories
-// for storage accounting (table sizes are reported at paper scale no
-// matter what scale the simulation ran at).
+// paperTarget describes one bank of the full-scale device to mitigation
+// factories for storage accounting (table sizes are reported at paper
+// scale no matter what scale the simulation ran at). Per-bank table
+// bytes do not depend on the bank count, so one bank sizes them without
+// building every bank's state.
 func paperTarget() mitigation.Target {
 	p := dram.PaperParams()
 	return mitigation.Target{
-		Banks: p.TotalBanks(), RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
+		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
 		FlipThreshold: p.FlipThreshold,
 	}
 }

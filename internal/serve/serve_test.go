@@ -458,23 +458,66 @@ func TestSharedCacheDedup(t *testing.T) {
 	if stA.DedupHits != 0 {
 		t.Errorf("first tenant's campaign claims %d dedup hits on an empty cache", stA.DedupHits)
 	}
-	fetch := func(tenant, id string) string {
-		req, _ := http.NewRequest("GET", hs.URL+"/v1/campaigns/"+id+"/report", nil)
-		req.Header.Set("X-Tenant", tenant)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("report fetch: %d", resp.StatusCode)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		return string(raw)
-	}
-	if a, b := fetch("alpha", idA), fetch("beta", idB); a != b {
+	if a, b := fetchReport(t, hs.URL, "alpha", idA), fetchReport(t, hs.URL, "beta", idB); a != b {
 		t.Error("cached tenant's report differs from the computed one")
 	}
+}
+
+// TestSharedCacheReusesSeedsAcrossSweepWidths has two tenants sweep the
+// same section at different seed counts over one shared checkpoint: the
+// wider sweep reuses every seed the narrower one ran and simulates only
+// the new one, and both reports equal fresh computations.
+func TestSharedCacheReusesSeedsAcrossSweepWidths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation; skipped in -short")
+	}
+	bodyA, _ := json.Marshal(Request{Sections: []string{"fig4"}, Seeds: 2})
+	bodyB, _ := json.Marshal(Request{Sections: []string{"fig4"}, Seeds: 3})
+
+	s, hs := newTestServer(t, Config{Workers: 4, CheckpointPath: filepath.Join(t.TempDir(), "cache.json")})
+	idA := jobID(t, doSubmit(t, hs.URL, "alpha", bodyA))
+	waitState(t, hs.URL, "alpha", idA, StateDone)
+	before := s.CacheStats()
+	idB := jobID(t, doSubmit(t, hs.URL, "beta", bodyB))
+	waitState(t, hs.URL, "beta", idB, StateDone)
+	after := s.CacheStats()
+
+	cells := int64(len(campaign.Fig4Spec(testEval()).Cells))
+	if misses := after.SweepMisses - before.SweepMisses; misses != cells {
+		t.Errorf("the 3-seed campaign missed %d seeds; want %d, the new seed of each sweep cell", misses, cells)
+	}
+	if hits := after.SweepHits - before.SweepHits; hits != 2*cells {
+		t.Errorf("the 3-seed campaign hit %d seeds; want %d, the 2 earlier seeds of each sweep cell", hits, 2*cells)
+	}
+
+	_, fresh := newTestServer(t, Config{Workers: 4})
+	for _, c := range []struct {
+		tenant, id string
+		body       []byte
+	}{{"alpha", idA, bodyA}, {"beta", idB, bodyB}} {
+		id := jobID(t, doSubmit(t, fresh.URL, "gamma", c.body))
+		waitState(t, fresh.URL, "gamma", id, StateDone)
+		if got, want := fetchReport(t, hs.URL, c.tenant, c.id), fetchReport(t, fresh.URL, "gamma", id); got != want {
+			t.Errorf("%s's report over the shared cache differs from a fresh run", c.tenant)
+		}
+	}
+}
+
+// fetchReport returns a finished job's rendered report.
+func fetchReport(t *testing.T, url, tenant, id string) string {
+	t.Helper()
+	req, _ := http.NewRequest("GET", url+"/v1/campaigns/"+id+"/report", nil)
+	req.Header.Set("X-Tenant", tenant)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report fetch: %d", resp.StatusCode)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	return string(raw)
 }
 
 // waitNoServeGoroutines asserts every serve-owned goroutine exited.

@@ -754,11 +754,17 @@ func sortedKeys[V any](m map[string]V) []string {
 // seedKey renders a seed as a stable JSON map key.
 func seedKey(seed uint64) string { return fmt.Sprintf("%#x", seed) }
 
-// Fingerprint derives the checkpoint key for one sweep. It hashes the
-// JSON encoding of the config (Factory is excluded via its json:"-" tag;
-// FactoryLabel stands in for it), the technique name and the sorted seed
-// set, so any change to the experiment invalidates the cached results
-// instead of silently reusing them.
+// Fingerprint hashes the JSON encoding of the config (Factory is
+// excluded via its json:"-" tag; FactoryLabel stands in for it), the
+// technique name and the sorted seed set, so any change to the
+// experiment changes the key instead of silently reusing results.
+//
+// The checkpoint keys sweep results with seeds == nil: a per-seed Result
+// depends only on (config, technique, seed), and the seed is the entry's
+// second key, so sweeps over overlapping seed lists share their runs
+// (see NewSweep). The seed-list form identifies a whole sweep, for
+// callers that name one; checkpoints written when sweeps were keyed by
+// it miss once and re-simulate.
 func Fingerprint(cfg Config, technique string, seeds []uint64) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)

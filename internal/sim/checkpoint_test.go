@@ -115,6 +115,91 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestWiderSweepReusesSeeds: the checkpoint keys a sweep member's
+// results by run (config, technique, seed), not by the sweep's seed
+// list, so widening a sweep from 2 to 3 seeds over the same checkpoint
+// simulates only the new seed, and the wider summary equals a fresh
+// 3-seed sweep's.
+func TestWiderSweepReusesSeeds(t *testing.T) {
+	cfg := shrunkenConfig()
+	techs := []string{"PARA", "LoLiPRoMi"}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	var runs atomic.Int64
+	sweep := func(ck *Checkpoint, tech string, seeds []uint64) Summary {
+		r := NewRunner()
+		r.Checkpoint = ck
+		r.Config.SetRunFnForTest(func(ctx context.Context, c Config, tech string) (Result, error) {
+			runs.Add(1)
+			return RunCtx(ctx, c, tech)
+		})
+		sum, runErrs, err := r.RunSeeds(context.Background(), cfg, tech, seeds)
+		if err != nil || len(runErrs) != 0 {
+			t.Fatalf("%s: err=%v runErrs=%v", tech, err, runErrs)
+		}
+		return sum
+	}
+	load := func() *Checkpoint {
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	for _, tech := range techs {
+		sweep(load(), tech, Seeds(5, 2))
+	}
+	runs.Store(0)
+	for _, tech := range techs {
+		wide := sweep(load(), tech, Seeds(5, 3))
+		if n := runs.Swap(0); n != 1 {
+			t.Errorf("%s: widening 2 seeds to 3 ran %d simulations, want 1", tech, n)
+		}
+		if fresh := sweep(nil, tech, Seeds(5, 3)); !reflect.DeepEqual(wide, fresh) {
+			t.Errorf("%s: widened summary diverged from a fresh sweep:\nwide  %+v\nfresh %+v", tech, wide, fresh)
+		}
+		runs.Store(0)
+	}
+}
+
+// TestCheckpointMissesChangedRun: per-run keys still cover everything
+// a result depends on, so a changed config field, factory label or
+// technique never hits another run's entry.
+func TestCheckpointMissesChangedRun(t *testing.T) {
+	ck := newTestCheckpoint(t)
+	var runs atomic.Int64
+	r := NewRunner()
+	r.Checkpoint = ck
+	r.Config.SetRunFnForTest(func(_ context.Context, c Config, _ string) (Result, error) {
+		runs.Add(1)
+		return Result{Seed: c.Seed, TotalActs: 10}, nil
+	})
+	cfg := fastConfig()
+	seeds := Seeds(1, 2)
+	if _, _, err := r.RunSeeds(context.Background(), cfg, "PARA", seeds); err != nil {
+		t.Fatal(err)
+	}
+	windows, labelled := cfg, cfg
+	windows.Windows++
+	labelled.FactoryLabel = "hist=64"
+	for name, c := range map[string]struct {
+		cfg  Config
+		tech string
+	}{
+		"config":    {windows, "PARA"},
+		"label":     {labelled, "PARA"},
+		"technique": {cfg, "TWiCe"},
+	} {
+		runs.Store(0)
+		hits := ck.CacheStats().SweepHits
+		if _, _, err := r.RunSeeds(context.Background(), c.cfg, c.tech, seeds); err != nil {
+			t.Fatal(err)
+		}
+		if got := ck.CacheStats().SweepHits - hits; got != 0 || runs.Load() != int64(len(seeds)) {
+			t.Errorf("changed %s: %d cache hits, %d runs; want 0 hits, %d runs", name, got, runs.Load(), len(seeds))
+		}
+	}
+}
+
 func TestRunnerResumeSkipsCompletedSeeds(t *testing.T) {
 	ck := newTestCheckpoint(t)
 	var calls atomic.Int64

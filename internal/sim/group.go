@@ -29,8 +29,9 @@ type SweepResult struct {
 
 // Sweep is one prepared group-seeds call: members that share a stream
 // key, swept over one seed list. NewSweep serves whatever the checkpoint
-// already holds, each member under its own fingerprint; RunSeed runs one
-// seed for every member still missing it; Results aggregates.
+// already holds, each member's seeds under the member's run fingerprint
+// (config and technique, not the seed list); RunSeed runs one seed for
+// every member still missing it; Results aggregates.
 // Runner.RunGroupSeeds drives a Sweep through its worker pool, and the
 // campaign scheduler drives one seed by seed in its own admission order.
 type Sweep struct {
@@ -49,7 +50,10 @@ type Sweep struct {
 }
 
 // NewSweep prepares members (which must share a stream key) over seeds,
-// looking every (member, seed) up in the checkpoint.
+// looking every (member, seed) up in the checkpoint. Entries are keyed
+// by Fingerprint(cfg, technique, nil) and the seed, never by the seed
+// list: a result depends only on its run, so a sweep reuses every seed
+// that any earlier sweep of the same member ran.
 func (r *Runner) NewSweep(members []Member, seeds []uint64) (*Sweep, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sim: no seeds")
@@ -77,7 +81,7 @@ func (r *Runner) NewSweep(members []Member, seeds []uint64) (*Sweep, error) {
 		sw.first[i] = firstOf[s]
 	}
 	for m, mem := range members {
-		sw.fps[m] = Fingerprint(mem.Config, mem.Technique, seeds)
+		sw.fps[m] = Fingerprint(mem.Config, mem.Technique, nil)
 		// A custom Factory without a FactoryLabel is invisible to the
 		// fingerprint (two different closures would collide), so such
 		// members bypass the checkpoint entirely — the documented Config
