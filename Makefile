@@ -25,11 +25,12 @@ test-debugasserts:
 
 # Race-detect the concurrent machinery: the hardened seed-sweep runner,
 # the fault-injection framework it drives, the campaign scheduler, the
-# chaos I/O seam and torture harness, the multi-tenant campaign server
-# and its serving torture harness, and the hot-path structures the
-# parallel campaign touches.
+# verified record log under the checkpoint and journal, the chaos I/O
+# seam and torture harness, the multi-tenant campaign server and its
+# serving torture harness, and the hot-path structures the parallel
+# campaign touches.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/servetest/... ./internal/hotpath/... ./internal/bitset/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/recordlog/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/servetest/... ./internal/hotpath/... ./internal/bitset/... ./internal/obs/...
 
 # The full pre-merge gate: build, vet, tests (both assertion modes), race
 # tests.
@@ -44,7 +45,7 @@ chaos:
 	$(GO) run ./cmd/experiments -chaos-seed $(CHAOS_SEED) -progress chaos
 
 # Crash-durability torture for the serving layer: a journaled server is
-# hard-killed at a seeded journal-commit ordinal, its journal tail torn,
+# hard-killed at a seeded commit ordinal, its journal tail torn,
 # then restarted — every accepted job must be re-admitted from the
 # write-ahead journal and re-rendered byte-identically, duplicate
 # Idempotency-Key POSTs answered with the original id and zero

@@ -17,7 +17,7 @@
 //	experiments chaos            — crash-consistency torture: run a real
 //	                               campaign against a fault-injecting
 //	                               filesystem, kill it at randomized
-//	                               checkpoint-flush boundaries, corrupt the
+//	                               checkpoint-commit boundaries, corrupt the
 //	                               checkpoint between cycles, resume, and
 //	                               verify the final report is byte-identical
 //	                               to an undisturbed run
@@ -46,7 +46,7 @@
 //	                               graceful drain on SIGINT/SIGTERM
 //	experiments serve-chaos      — crash-durability torture for the serving
 //	                               layer: a journaled server is hard-killed
-//	                               at a seeded journal-commit ordinal, its
+//	                               at a seeded commit ordinal, its
 //	                               journal tail torn, then restarted — every
 //	                               accepted job must be re-admitted and
 //	                               re-rendered byte-identically, duplicate
@@ -70,13 +70,8 @@
 //	-csv              also print Fig. 4 as CSV
 //	-svg PATH         also write Fig. 4 as an SVG file
 //	-checkpoint PATH  persist per-seed and per-probe results (and finished
-//	                  sections) to a JSON checkpoint; a killed run re-uses
-//	                  them on restart
-//	-checkpoint-shards N
-//	                  with -checkpoint: use the sharded directory layout —
-//	                  PATH becomes a directory of N per-cell-group shard
-//	                  files and a flush rewrites only the shards that
-//	                  changed (an existing directory's on-disk count wins)
+//	                  sections) to an append-only JSONL checkpoint; a
+//	                  killed run re-uses them on restart
 //	-geometry RxGxBxROWS
 //	                  override the device geometry as
 //	                  ranks x bank-groups x banks x rows-per-bank
@@ -184,7 +179,6 @@ var (
 	csvOut    = flag.Bool("csv", false, "print Fig. 4 as CSV too")
 	svgOut    = flag.String("svg", "", "also write Fig. 4 as an SVG file at this path")
 	ckptPath  = flag.String("checkpoint", "", "JSON checkpoint path for resumable campaigns")
-	ckptShard = flag.Int("checkpoint-shards", 0, "with -checkpoint: sharded directory layout with this many shard files (0 = single file)")
 	resume    = flag.Bool("resume", false, "with -checkpoint: replay finished sections from the checkpoint")
 	geomF     = flag.String("geometry", "", "device geometry ranks x groups x banks x rows, e.g. 1x8x4x65536")
 	allow1cpu = flag.Bool("allow-single-cpu", false, "bench/scale: record timings on a single-CPU host with speedup_claimed=false")
@@ -381,7 +375,7 @@ func (a *app) onProgress() func(campaign.Progress) {
 	w := a.progress
 	return func(p campaign.Progress) {
 		if p.Cell == "" && p.Note != "" {
-			// Checkpoint-load report: quarantine, salvage, migration.
+			// Checkpoint-load report: quarantine, salvage.
 			fmt.Fprintf(w, "campaign: checkpoint: %s\n", p.Note)
 			return
 		}
@@ -408,7 +402,7 @@ func (a *app) onProgress() func(campaign.Progress) {
 
 // chaos runs the crash-consistency torture harness (internal/chaostest)
 // and prints its report: a real campaign executed against a
-// fault-injecting filesystem, killed at randomized checkpoint-flush
+// fault-injecting filesystem, killed at randomized checkpoint-commit
 // boundaries, corrupted between cycles, resumed, and finally verified
 // byte-for-byte against an undisturbed run.
 func (a *app) chaos(ctx context.Context, cfg chaostest.Config) error {
@@ -771,20 +765,12 @@ func main() {
 	runner.Config.PerRunTimeout = *timeout
 	runner.Config.StallTimeout = *stall
 	switch {
-	case *ckptPath != "" && *ckptShard > 0:
-		ck, err := sim.LoadShardedCheckpoint(*ckptPath, *ckptShard)
-		if err != nil {
-			fatal(err)
-		}
-		runner.Checkpoint = ck
 	case *ckptPath != "":
 		ck, err := sim.LoadCheckpoint(*ckptPath)
 		if err != nil {
 			fatal(err)
 		}
 		runner.Checkpoint = ck
-	case *ckptShard > 0:
-		fatal(fmt.Errorf("-checkpoint-shards requires -checkpoint"))
 	case *resume:
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}

@@ -73,7 +73,7 @@ func (a *app) serveCmd(sigCtx context.Context, addr string, cfg serve.Config) er
 
 // serveChaos runs the crash-durability torture harness
 // (internal/servetest.RunServeChaos) and prints its report: a journaled
-// server hard-killed at a seeded journal-commit ordinal, its journal
+// server hard-killed at a seeded commit ordinal, its journal
 // tail torn, restarted, and held to the durability contract — every
 // accepted job recovered and re-rendered byte-identically, idempotent
 // re-POSTs answered with the original id and zero re-executions, and
@@ -90,7 +90,7 @@ func (a *app) serveChaos(ctx context.Context, cfg servetest.ChaosConfig) error {
 		return err
 	}
 	rep, err := servetest.RunServeChaos(ctx, cfg)
-	fmt.Fprintf(a.stdout, "serve-chaos: seed %#x: %d accepted, killed=%v at journal commit %d, tampered=%v, %d recovered, %d/%d reports identical, %d idempotent replay(s), %d re-execution(s), snapshot-fallback=%v resume-checked=%v, %d corpse(s), %d leaked goroutine(s)\n",
+	fmt.Fprintf(a.stdout, "serve-chaos: seed %#x: %d accepted, killed=%v at commit %d, tampered=%v, %d recovered, %d/%d reports identical, %d idempotent replay(s), %d re-execution(s), snapshot-fallback=%v resume-checked=%v, %d corpse(s), %d leaked goroutine(s)\n",
 		cfg.Seed, rep.Submitted, rep.Killed, rep.KillOrdinal, rep.Tampered,
 		rep.Recovered, rep.Compared, rep.Submitted, rep.IdempotentReplays,
 		rep.ReExecutions, rep.SnapshotFallback, rep.ResumeChecked,

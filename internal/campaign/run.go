@@ -37,7 +37,7 @@ type Options struct {
 	Runner *sim.Runner
 	// OnProgress, when non-nil, receives one event per completed cell —
 	// plus, when a checkpoint load was noteworthy (quarantine, salvage
-	// drops, format migration), one leading Note-only event. Events are
+	// drops, another format version), one leading Note-only event. Events are
 	// delivered sequentially (never concurrently).
 	OnProgress func(Progress)
 
@@ -89,7 +89,7 @@ type Progress struct {
 	Err         error         // the cell's failure, if any
 	Attempts    int           // attempts this cell consumed (≥ 1)
 	Skipped     bool          // the scheduler parked this cell
-	Note        string        // checkpoint-load report (quarantine, salvage, migration)
+	Note        string        // checkpoint-load report (quarantine, salvage)
 	CellElapsed time.Duration // wall-clock from the cell's admission to done (a group's members share it)
 	Elapsed     time.Duration // campaign wall-clock so far
 	ETA         time.Duration // naive remaining-time estimate
@@ -267,7 +267,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*ResultSet, error) {
 		wg   sync.WaitGroup
 	)
 	// Surface a noteworthy checkpoint load (quarantine, salvage drops,
-	// format migration) as one leading Note event; a clean or absent
+	// another format version) as one leading Note event; a clean or absent
 	// checkpoint emits nothing, so the event count stays cells-only in
 	// the common case.
 	if opts.OnProgress != nil && runner.Checkpoint != nil {

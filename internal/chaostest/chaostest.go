@@ -1,7 +1,7 @@
 // Package chaostest is the crash-consistency torture harness: it runs a
 // real in-process campaign (actual simulation cells, actual checkpoint)
 // against the fault-injecting filesystem of internal/iofault, kills the
-// campaign at randomized checkpoint-flush boundaries, corrupts checkpoint
+// campaign at randomized checkpoint-commit boundaries, corrupts checkpoint
 // bytes between cycles, resumes from whatever survived, and finally
 // verifies that the resumed-and-finished report is byte-identical to an
 // undisturbed run.
@@ -106,7 +106,7 @@ func TestScaleEval() campaign.Eval {
 func DefaultSections() []string { return []string{"table2", "table3", "flooding"} }
 
 // chaosOdds is the per-operation fault mix one torture cycle runs under.
-// The rates are deliberately moderate: high enough that a multi-flush
+// The rates are deliberately moderate: high enough that a multi-commit
 // cycle reliably draws several faults, low enough that checkpoints still
 // make forward progress between failures.
 func chaosOdds(seed uint64) iofault.ChaosConfig {
@@ -201,7 +201,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		}
 		ck, err := sim.LoadCheckpointFS(ckpt, fsys)
 		if err != nil {
-			// The chaos FS can fail even the load-time salvage re-flush;
+			// The chaos FS can fail even the load-time salvage rewrite;
 			// the damaged original is already quarantined, so the next
 			// cycle simply starts from an empty checkpoint. That is the
 			// torture working, not the torture failing.

@@ -24,6 +24,9 @@ func TestTortureRunByteIdentical(t *testing.T) {
 	if rep.Cycles != 2 {
 		t.Fatalf("cycles = %d, want 2", rep.Cycles)
 	}
+	if rep.Kills == 0 {
+		t.Fatal("no cycle was killed: the torture ran nothing but clean passes")
+	}
 	if !rep.Identical {
 		t.Fatal("final resumed report is not byte-identical to the golden run")
 	}

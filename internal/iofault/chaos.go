@@ -62,13 +62,10 @@ type ChaosStats struct {
 	RenameFails int
 	FsyncLosses int
 	BitFlips    int
-	// Commits counts successful Renames — the durability boundaries a
-	// crash-consistency test kills at.
-	Commits int
-	// AppendCommits counts honest Syncs on append handles — the
-	// journal-entry durability boundaries the serve torture harness
+	// Commits counts durability points — successful Renames and honest
+	// Syncs on append handles — the boundaries a crash-consistency test
 	// kills at.
-	AppendCommits int
+	Commits int
 }
 
 // Total returns the number of injected faults (Commits excluded).
@@ -91,18 +88,13 @@ type Chaos struct {
 	src   *rng.XorShift64Star
 	stats ChaosStats
 
-	// OnCommit, when non-nil, runs after every successful Rename with
-	// the destination path and the 1-based commit ordinal. The torture
-	// harness uses it to kill a campaign at a randomized flush
-	// boundary. Called without the Chaos lock held.
+	// OnCommit, when non-nil, runs at every durability point — after a
+	// successful Rename (with the destination path) and after an honest
+	// Sync on an append handle (with the file's path) — with one shared
+	// 1-based commit ordinal. The torture harnesses use it to kill a
+	// campaign or power a server off at a randomized commit boundary.
+	// Called without the Chaos lock held.
 	OnCommit func(path string, commit int)
-
-	// OnAppend, when non-nil, runs after every honest Sync on an append
-	// handle with the file's path and the 1-based append-commit
-	// ordinal. The serve torture harness uses it to power the machine
-	// off at a randomized journal-commit boundary. Called without the
-	// Chaos lock held.
-	OnAppend func(path string, commit int)
 
 	// off, once set by PowerOff, fails every mutating operation: the
 	// simulated machine is dead and nothing it attempts reaches disk.
@@ -179,7 +171,7 @@ func (c *Chaos) CreateTemp(dir, pattern string) (File, error) {
 
 // OpenAppend implements FS. Unlike CreateTemp's buffered handle, the
 // append handle keeps only the not-yet-synced tail in memory: an honest
-// Sync pushes it to the real file (and fires OnAppend), an fsync-loss
+// Sync pushes it to the real file (and fires OnCommit), an fsync-loss
 // fault acknowledges without pushing, and PowerOff vaporizes whatever
 // was still pending — the crash semantics of a real write-ahead log.
 func (c *Chaos) OpenAppend(path string) (File, error) {
@@ -215,15 +207,21 @@ func (c *Chaos) Rename(oldpath, newpath string) error {
 	if err := c.inner.Rename(oldpath, newpath); err != nil {
 		return err
 	}
+	c.commit(newpath)
+	return nil
+}
+
+// commit counts one durability point and fires OnCommit outside the
+// lock.
+func (c *Chaos) commit(path string) {
 	c.mu.Lock()
 	c.stats.Commits++
 	n := c.stats.Commits
 	hook := c.OnCommit
 	c.mu.Unlock()
 	if hook != nil {
-		hook(newpath, n)
+		hook(path, n)
 	}
-	return nil
 }
 
 // Remove implements FS.
@@ -235,7 +233,7 @@ func (c *Chaos) Remove(path string) error {
 }
 
 // MkdirAll implements FS (passed through unfaulted: directory creation
-// happens once per checkpoint, before any durability boundary worth
+// happens once per journal, before any durability boundary worth
 // attacking — the interesting faults live in the write/rename path).
 func (c *Chaos) MkdirAll(path string) error { return c.inner.MkdirAll(path) }
 
@@ -365,7 +363,7 @@ func (f *chaosFile) Name() string { return f.inner.Name() }
 
 // chaosAppendFile is the fault-injecting append handle. Writes land in
 // a pending buffer (after write-time faults); an honest Sync flushes
-// pending bytes to the real file, syncs it, and fires OnAppend; an
+// pending bytes to the real file, syncs it, and fires OnCommit; an
 // fsync-loss fault acknowledges the Sync while leaving the bytes
 // pending, so they survive only if a later honest Sync (or a clean
 // Close) happens before PowerOff.
@@ -437,7 +435,7 @@ func (f *chaosAppendFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Sync implements File. An honest sync is the journal's commit point.
+// Sync implements File. An honest sync is an append log's commit point.
 func (f *chaosAppendFile) Sync() error {
 	c := f.fs
 	c.mu.Lock()
@@ -458,14 +456,7 @@ func (f *chaosAppendFile) Sync() error {
 	if err := f.inner.Sync(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	c.stats.AppendCommits++
-	n := c.stats.AppendCommits
-	hook := c.OnAppend
-	c.mu.Unlock()
-	if hook != nil {
-		hook(f.inner.Name(), n)
-	}
+	c.commit(f.inner.Name())
 	return nil
 }
 

@@ -198,21 +198,64 @@ func TestChaosBitFlipCorruptsExactlyOneBit(t *testing.T) {
 	}
 }
 
+// TestChaosOnCommitOrdinalsAndKillHook: renames and honest append syncs
+// are both durability points and share one commit ordinal; a lying
+// sync is not a commit.
 func TestChaosOnCommitOrdinalsAndKillHook(t *testing.T) {
 	dir := t.TempDir()
 	c := NewChaos(nil, ChaosConfig{Seed: 17})
 	var commits []int
-	c.OnCommit = func(path string, n int) { commits = append(commits, n) }
-	for i := 0; i < 3; i++ {
+	var paths []string
+	c.OnCommit = func(path string, n int) {
+		commits = append(commits, n)
+		paths = append(paths, filepath.Base(path))
+	}
+	for i := 0; i < 2; i++ {
 		if _, err := writeOnce(t, c, dir, filepath.Join(dir, "out"), []byte("x"), true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !reflect.DeepEqual(commits, []int{1, 2, 3}) {
+	f, err := c.OpenAppend(filepath.Join(dir, "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := f.Write([]byte("rec\n")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writeOnce(t, c, dir, filepath.Join(dir, "out"), []byte("x"), true); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(commits, []int{1, 2, 3, 4, 5}) {
 		t.Fatalf("commit ordinals = %v", commits)
 	}
-	if c.Stats().Commits != 3 {
+	if want := []string{"out", "out", "log", "log", "out"}; !reflect.DeepEqual(paths, want) {
+		t.Fatalf("commit paths = %v, want %v", paths, want)
+	}
+	if c.Stats().Commits != 5 {
 		t.Fatalf("commit count = %d", c.Stats().Commits)
+	}
+
+	// Every sync lies: appends are acknowledged but nothing commits.
+	liar := NewChaos(nil, ChaosConfig{Seed: 17, FsyncLoss: 1})
+	liar.OnCommit = func(string, int) { t.Fatal("a lost fsync fired the commit hook") }
+	g, err := liar.OpenAppend(filepath.Join(dir, "lost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Write([]byte("rec\n"))
+	if err := g.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if liar.Stats().Commits != 0 {
+		t.Fatalf("lost fsync counted as a commit: %+v", liar.Stats())
 	}
 }
 

@@ -7,12 +7,13 @@
 // all seed-deterministically, so every torture run is reproducible from
 // its seed.
 //
-// The seam is deliberately small: the operations an atomic
-// write-temp-then-rename checkpoint needs (ReadFile, CreateTemp,
-// Rename, Remove), an append handle for the serving tier's write-ahead
-// job journal (OpenAppend), a directory listing for quarantine-corpse
-// pruning (ReadDir), plus the File handle operations (Write, Sync,
-// Close, Name). Passthrough (OS) adds nothing on top of the os package.
+// The seam is deliberately small: an append handle for the record
+// log's per-record commits (OpenAppend), the operations its atomic
+// write-temp-then-rename rewrite needs (ReadFile, CreateTemp, Rename,
+// Remove), a directory listing for quarantine-corpse pruning (ReadDir),
+// directory creation (MkdirAll), plus the File handle operations
+// (Write, Sync, Close, Name). Passthrough (OS) adds nothing on top of
+// the os package.
 package iofault
 
 import (
@@ -46,9 +47,9 @@ type FS interface {
 	// os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
 	// OpenAppend opens path for appending, creating it if absent. This
-	// is the write-ahead journal's durability path: each record is
-	// Written and then Synced through the returned handle, so the chaos
-	// implementation can tear, drop, or kill at exactly those
+	// is the record log's durability path (checkpoint and journal): each
+	// record is Written and then Synced through the returned handle, so
+	// the chaos implementation can tear, drop, or kill at exactly those
 	// per-record commit points.
 	OpenAppend(path string) (File, error)
 	// ReadDir lists the entry names in dir (quarantine pruning scans a
@@ -59,8 +60,8 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes path.
 	Remove(path string) error
-	// MkdirAll creates a directory (and parents) — the sharded checkpoint
-	// lays its shard files out in a directory per checkpoint.
+	// MkdirAll creates a directory (and parents) — the journal creates
+	// its directory on open.
 	MkdirAll(path string) error
 }
 

@@ -6,54 +6,35 @@
 // with their cells deduping against the content-addressed checkpoint
 // cache so recovery re-renders rather than re-simulates.
 //
-// The format reuses the checkpoint-v2 envelope discipline through the
-// exported sim codec: a magic header line, then one JSON record per
-// line carrying a SHA-256 checksum (sim.EntrySum) that binds the
-// record's kind and job id to its payload bytes. Unlike the
-// checkpoint there is no whole-file digest trailer — an append-only
-// log cannot maintain one — so a crash's torn tail is expected damage:
-// load salvages every verifiable record, quarantines the original to
-// <path>.corrupt-<ts> (pruned to the newest sim.QuarantineKeep), and
-// rewrites a compacted clean log before reopening it for append. A
-// record that does not verify is never resurrected.
+// The journal is a record schema on internal/recordlog, the same
+// verified log the checkpoint uses: submit and state records, each
+// checksummed, appended and fsynced one at a time. A crash's torn tail
+// is expected damage: the log salvages every verifiable record,
+// quarantines the original and rewrites the salvage before the server
+// appends again. A record that does not verify is never resurrected.
+// This file keeps only the ledger fold: last state wins, the highest
+// epoch wins, and orphaned state records are counted, not re-admitted.
 package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"tivapromi/internal/iofault"
 	"tivapromi/internal/obs"
-	"tivapromi/internal/sim"
+	"tivapromi/internal/recordlog"
 )
 
-// isNotExist matches the not-exist condition through whatever error
-// chain the FS seam produced.
-func isNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
-
+// Version 2 is the recordlog format; a version-1 journal is quarantined
+// (drain the server before upgrading across that change).
 const (
 	journalFormat  = "tivapromi-journal"
-	journalVersion = 1
+	journalVersion = 2
 
 	journalKindSubmit = "submit"
 	journalKindState  = "state"
 )
-
-// journalLine is the on-disk shape of both the header and the records,
-// mirroring the checkpoint's ckptLine.
-type journalLine struct {
-	Format  string          `json:"format,omitempty"`
-	Version int             `json:"version,omitempty"`
-	K       string          `json:"k,omitempty"`
-	ID      string          `json:"id,omitempty"`
-	Sum     string          `json:"sum,omitempty"`
-	Data    json.RawMessage `json:"data,omitempty"`
-}
 
 // SubmitRecord journals one accepted submission: everything a restarted
 // server needs to re-admit the job and honor its idempotency key.
@@ -115,16 +96,12 @@ func (r JournalLoadReport) Note() string {
 
 // Journal is the open write-ahead log. A nil *Journal is a no-op (the
 // server runs journal-less when Config.JournalPath is empty), so
-// callers thread one pointer unconditionally. Appends serialize under
-// mu; each append is written and fsynced before returning — the fsync
-// is the commit point the chaos harness kills at.
+// callers thread one pointer unconditionally. Each append is written
+// and fsynced before returning — the fsync is the commit point the
+// chaos harness kills at.
 type Journal struct {
-	mu     sync.Mutex
-	path   string
-	fs     iofault.FS
-	f      iofault.File
+	log    *recordlog.Log
 	report JournalLoadReport
-	closed bool
 }
 
 // OpenJournal opens or creates the journal at path through the FS seam
@@ -140,64 +117,33 @@ func OpenJournal(path string, fsys iofault.FS) (*Journal, []ReplayedJob, error) 
 	if err := fsys.MkdirAll(filepath.Dir(path)); err != nil {
 		return nil, nil, fmt.Errorf("serve: journal dir: %w", err)
 	}
-	j := &Journal{path: path, fs: fsys}
-	var replay []ReplayedJob
-	raw, err := fsys.ReadFile(path)
-	switch {
-	case err != nil && isNotExist(err):
-		// Fresh log: write the header through a normal append so the
-		// first record's durability dance also covers it.
-		if err := j.open(); err != nil {
-			return nil, nil, err
-		}
-		if err := j.appendLine(journalLine{Format: journalFormat, Version: journalVersion}); err != nil {
-			j.Close()
-			return nil, nil, err
-		}
-		return j, nil, nil
-	case err != nil:
-		return nil, nil, fmt.Errorf("serve: read journal: %w", err)
-	}
-
+	l := ledger{byID: make(map[string]*ReplayedJob)}
 	span := obs.StartSpan("journal-replay", "serve", "path", path)
-	replay, j.report = parseJournal(raw)
+	log, rep, err := recordlog.Open(path, fsys, journalFormat, journalVersion, l.apply)
+	if err != nil {
+		span.End("outcome", "err")
+		return nil, nil, fmt.Errorf("serve: journal: %w", err)
+	}
+	j := &Journal{log: log, report: JournalLoadReport{
+		Entries: rep.Records - l.orphans, Dropped: rep.Dropped, Orphans: l.orphans,
+		Quarantined: rep.Quarantined, Err: rep.Err,
+	}}
 	span.End("entries", fmt.Sprint(j.report.Entries), "dropped", fmt.Sprint(j.report.Dropped))
-	if j.report.Err != nil {
-		// Quarantine the damaged original, then persist the salvaged
-		// records as a compacted clean log before reopening for append.
-		q := fmt.Sprintf("%s.corrupt-%d", path, time.Now().UnixNano())
-		if renameErr := fsys.Rename(path, q); renameErr == nil {
-			j.report.Quarantined = q
+	if rep.Err != nil {
+		if rep.Quarantined != "" {
 			obs.JournalQuarantines.Inc()
-			sim.PruneQuarantine(fsys, path, sim.QuarantineKeep)
 		}
-		if j.report.Entries > 0 {
+		if rep.Records > 0 {
 			obs.JournalSalvages.Inc()
 		}
 		obs.Emit("journal-quarantine",
 			"path", path,
-			"quarantined", j.report.Quarantined,
+			"quarantined", rep.Quarantined,
 			"salvaged", fmt.Sprint(j.report.Entries),
 			"dropped", fmt.Sprint(j.report.Dropped),
-			"err", j.report.Err.Error())
-		if err := sim.AtomicWriteFS(fsys, path, compactJournal(raw)); err != nil {
-			return nil, nil, fmt.Errorf("serve: rewrite salvaged journal: %w", err)
-		}
+			"err", rep.Err.Error())
 	}
-	if err := j.open(); err != nil {
-		return nil, nil, err
-	}
-	return j, replay, nil
-}
-
-// open acquires the append handle.
-func (j *Journal) open() error {
-	f, err := j.fs.OpenAppend(j.path)
-	if err != nil {
-		return fmt.Errorf("serve: open journal: %w", err)
-	}
-	j.f = f
-	return nil
+	return j, l.jobs(), nil
 }
 
 // LoadReport returns what OpenJournal found on disk (the zero report
@@ -206,8 +152,6 @@ func (j *Journal) LoadReport() JournalLoadReport {
 	if j == nil {
 		return JournalLoadReport{}
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return j.report
 }
 
@@ -219,14 +163,7 @@ func (j *Journal) AppendSubmit(rec SubmitRecord) error {
 	if j == nil {
 		return nil
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("serve: journal submit: %w", err)
-	}
-	return j.appendRecord(journalLine{
-		K: journalKindSubmit, ID: rec.ID,
-		Sum: sim.EntrySum(journalKindSubmit, rec.ID, rec.Tenant, data), Data: data,
-	})
+	return j.append(journalKindSubmit, rec.ID, rec)
 }
 
 // AppendState journals one lifecycle transition. State records are
@@ -237,48 +174,23 @@ func (j *Journal) AppendState(rec StateRecord) error {
 	if j == nil {
 		return nil
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("serve: journal state: %w", err)
-	}
-	return j.appendRecord(journalLine{
-		K: journalKindState, ID: rec.ID,
-		Sum: sim.EntrySum(journalKindState, rec.ID, "", data), Data: data,
-	})
+	return j.append(journalKindState, rec.ID, rec)
 }
 
-// appendRecord writes one record line with span + counter accounting.
-func (j *Journal) appendRecord(l journalLine) error {
-	span := obs.StartSpan("journal-append", "serve", "kind", l.K, "job", l.ID)
-	err := j.appendLine(l)
+// append commits one record with span + counter accounting.
+func (j *Journal) append(kind, id string, rec any) error {
+	data, err := json.Marshal(rec)
 	if err != nil {
+		return fmt.Errorf("serve: journal %s: %w", kind, err)
+	}
+	span := obs.StartSpan("journal-append", "serve", "kind", kind, "job", id)
+	if err := j.log.Append(recordlog.Record{Kind: kind, ID: id, Data: data}); err != nil {
 		span.End("outcome", "err")
 		obs.JournalAppendErrs.Inc()
-		return err
+		return fmt.Errorf("serve: journal: %w", err)
 	}
 	span.End("outcome", "ok")
 	obs.JournalAppends.Inc()
-	return nil
-}
-
-// appendLine marshals, writes and fsyncs one line under the lock.
-func (j *Journal) appendLine(l journalLine) error {
-	raw, err := json.Marshal(l)
-	if err != nil {
-		return fmt.Errorf("serve: journal encode: %w", err)
-	}
-	raw = append(raw, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed || j.f == nil {
-		return fmt.Errorf("serve: journal is closed")
-	}
-	if _, err := j.f.Write(raw); err != nil {
-		return fmt.Errorf("serve: journal write: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("serve: journal sync: %w", err)
-	}
 	return nil
 }
 
@@ -287,183 +199,58 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	if j.f == nil {
-		return nil
-	}
-	return j.f.Close()
+	return j.log.Close()
 }
 
-// parseJournal walks raw, salvaging every verifiable record, and
-// reconstructs the job ledger in submission order. It never panics on
-// any input and never keeps a record whose checksum does not verify.
-func parseJournal(raw []byte) ([]ReplayedJob, JournalLoadReport) {
-	var rep JournalLoadReport
-	corrupt := func(format string, args ...any) {
-		if rep.Err == nil {
-			rep.Err = fmt.Errorf("serve: journal corrupt: %s", fmt.Sprintf(format, args...))
-		}
-	}
-
-	hdr, rest, ok := sim.SplitLine(raw)
-	if !ok {
-		corrupt("truncated header line")
-		return nil, rep
-	}
-	var h journalLine
-	if err := json.Unmarshal(hdr, &h); err != nil || h.Format != journalFormat {
-		corrupt("missing or unparseable header")
-		return nil, rep
-	}
-	if h.Version != journalVersion {
-		corrupt("file version %d, want %d", h.Version, journalVersion)
-		return nil, rep
-	}
-
-	var order []string
-	byID := make(map[string]*ReplayedJob)
-	off := len(raw) - len(rest)
-	for len(rest) > 0 {
-		line, next, lineOK := sim.SplitLine(rest)
-		if !lineOK {
-			// No trailing newline: the torn tail of a crash mid-append.
-			corrupt("truncated final line at offset %d", off)
-			rep.Dropped++
-			break
-		}
-		lineStart := off
-		off += len(rest) - len(next)
-		rest = next
-		var l journalLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			corrupt("unparseable line at offset %d", lineStart)
-			rep.Dropped++
-			continue
-		}
-		switch l.K {
-		case journalKindSubmit:
-			var rec SubmitRecord
-			if sim.EntrySum(journalKindSubmit, l.ID, tenantOfLine(l.Data), l.Data) != l.Sum ||
-				json.Unmarshal(l.Data, &rec) != nil || rec.ID != l.ID || rec.ID == "" {
-				corrupt("submit record failed verification at offset %d", lineStart)
-				rep.Dropped++
-				continue
-			}
-			if byID[rec.ID] != nil {
-				// A duplicate submit for an id is unverifiable intent;
-				// keep the first, drop the echo.
-				corrupt("duplicate submit for %s at offset %d", rec.ID, lineStart)
-				rep.Dropped++
-				continue
-			}
-			rj := &ReplayedJob{Submit: rec, State: StateQueued}
-			byID[rec.ID] = rj
-			order = append(order, rec.ID)
-			rep.Entries++
-		case journalKindState:
-			var rec StateRecord
-			if sim.EntrySum(journalKindState, l.ID, "", l.Data) != l.Sum ||
-				json.Unmarshal(l.Data, &rec) != nil || rec.ID != l.ID {
-				corrupt("state record failed verification at offset %d", lineStart)
-				rep.Dropped++
-				continue
-			}
-			rj := byID[rec.ID]
-			if rj == nil {
-				// Verified but orphaned: its submit record was lost, so
-				// there is no spec to re-admit. Counted, not resurrected.
-				rep.Orphans++
-				continue
-			}
-			rj.State = rec.State
-			rj.Err = rec.Error
-			if rec.Epoch > rj.Epoch {
-				rj.Epoch = rec.Epoch
-			}
-			if rec.Seq > rj.Seq {
-				rj.Seq = rec.Seq
-			}
-			rep.Entries++
-		default:
-			corrupt("unknown record kind %q at offset %d", l.K, lineStart)
-			rep.Dropped++
-		}
-	}
-
-	out := make([]ReplayedJob, 0, len(order))
-	for _, id := range order {
-		out = append(out, *byID[id])
-	}
-	return out, rep
+// ledger folds verified journal records into the job ledger.
+type ledger struct {
+	order   []string
+	byID    map[string]*ReplayedJob
+	orphans int
 }
 
-// tenantOfLine peeks the tenant field out of a submit payload so the
-// checksum can bind it as the second identity component without a full
-// decode-then-reencode round trip.
-func tenantOfLine(data []byte) string {
-	var t struct {
-		Tenant string `json:"tenant"`
+// apply folds one verified record. An error refuses the record as
+// damage: a payload that does not decode or names another job, or a
+// duplicate submit (unverifiable intent — the first one is kept).
+func (l *ledger) apply(r recordlog.Record) error {
+	switch r.Kind {
+	case journalKindSubmit:
+		var rec SubmitRecord
+		if json.Unmarshal(r.Data, &rec) != nil || rec.ID != r.ID || rec.ID == "" {
+			return fmt.Errorf("submit record does not match its identity")
+		}
+		if l.byID[rec.ID] != nil {
+			return fmt.Errorf("duplicate submit for %s", rec.ID)
+		}
+		l.byID[rec.ID] = &ReplayedJob{Submit: rec, State: StateQueued}
+		l.order = append(l.order, rec.ID)
+	case journalKindState:
+		var rec StateRecord
+		if json.Unmarshal(r.Data, &rec) != nil || rec.ID != r.ID {
+			return fmt.Errorf("state record does not match its identity")
+		}
+		rj := l.byID[rec.ID]
+		if rj == nil {
+			// Verified but orphaned: its submit record was lost, so
+			// there is no spec to re-admit. Counted, not resurrected.
+			l.orphans++
+			return nil
+		}
+		rj.State = rec.State
+		rj.Err = rec.Error
+		rj.Epoch = max(rj.Epoch, rec.Epoch)
+		rj.Seq = max(rj.Seq, rec.Seq)
+	default:
+		return fmt.Errorf("unknown record kind %q", r.Kind)
 	}
-	json.Unmarshal(data, &t)
-	return t.Tenant
+	return nil
 }
 
-// compactJournal rebuilds a clean journal image from raw: the header
-// plus every line that verifies, byte-for-byte as originally written.
-// Used after salvage so the rewritten log carries exactly the records
-// the replay kept.
-func compactJournal(raw []byte) []byte {
-	hdr, err := json.Marshal(journalLine{Format: journalFormat, Version: journalVersion})
-	if err != nil {
-		return nil
-	}
-	out := append(hdr, '\n')
-	oldHdr, rest, ok := sim.SplitLine(raw)
-	if !ok {
-		return out
-	}
-	// Mirror parseJournal: without a verified header the version is
-	// unknowable, so salvage keeps nothing and neither does compaction.
-	var h journalLine
-	if json.Unmarshal(oldHdr, &h) != nil || h.Format != journalFormat || h.Version != journalVersion {
-		return out
-	}
-	seenSubmit := make(map[string]bool)
-	for len(rest) > 0 {
-		line, next, lineOK := sim.SplitLine(rest)
-		if !lineOK {
-			break
-		}
-		rest = next
-		var l journalLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			continue
-		}
-		switch l.K {
-		case journalKindSubmit:
-			var rec SubmitRecord
-			if sim.EntrySum(journalKindSubmit, l.ID, tenantOfLine(l.Data), l.Data) != l.Sum ||
-				json.Unmarshal(l.Data, &rec) != nil || rec.ID != l.ID || rec.ID == "" ||
-				seenSubmit[rec.ID] {
-				continue
-			}
-			seenSubmit[rec.ID] = true
-		case journalKindState:
-			var rec StateRecord
-			if sim.EntrySum(journalKindState, l.ID, "", l.Data) != l.Sum ||
-				json.Unmarshal(l.Data, &rec) != nil || rec.ID != l.ID {
-				continue
-			}
-		default:
-			continue
-		}
-		out = append(out, line...)
-		out = append(out, '\n')
+// jobs returns the replayed jobs in submission order.
+func (l *ledger) jobs() []ReplayedJob {
+	out := make([]ReplayedJob, 0, len(l.order))
+	for _, id := range l.order {
+		out = append(out, *l.byID[id])
 	}
 	return out
 }

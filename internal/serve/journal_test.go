@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -251,7 +252,7 @@ func TestJournalOrphanAndDuplicate(t *testing.T) {
 }
 
 // TestJournalQuarantineBounded: repeated damage accumulates at most
-// sim.QuarantineKeep corpses next to the journal.
+// recordlog.QuarantineKeep corpses next to the journal.
 func TestJournalQuarantineBounded(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "jobs.journal")
@@ -285,8 +286,8 @@ func TestJournalQuarantineBounded(t *testing.T) {
 
 // FuzzJournalParse holds the journal loader to its salvage contract on
 // arbitrary bytes: never panic, never resurrect an unverifiable record
-// (every replayed job re-verifies against the shared codec), and the
-// compacted rewrite of any input reparses clean with the same ledger.
+// (every replayed job has a verified submit record, once), and the
+// rewritten salvage reopens clean with the same ledger.
 func FuzzJournalParse(f *testing.F) {
 	seedPath := filepath.Join(f.TempDir(), "seed.journal")
 	jw, _, err := OpenJournal(seedPath, nil)
@@ -301,18 +302,27 @@ func FuzzJournalParse(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-10])                    // torn tail
+	f.Add(valid[:len(valid)-10])                             // torn tail
 	f.Add(bytes.Replace(valid, []byte("a"), []byte("b"), 3)) // bit rot
 	f.Add([]byte(""))
 	f.Add([]byte("\n"))
-	f.Add([]byte(`{"format":"tivapromi-journal","version":1}` + "\n"))
 	f.Add([]byte(`{"format":"tivapromi-journal","version":2}` + "\n"))
-	f.Add([]byte(`{"format":"something-else","version":1}` + "\n"))
-	f.Add([]byte(`{"format":"tivapromi-journal","version":1}` + "\n" + `{"k":"submit","id":"j1","sum":"bad","data":{}}` + "\n"))
+	f.Add([]byte(`{"format":"tivapromi-journal","version":1}` + "\n"))
+	f.Add([]byte(`{"format":"something-else","version":2}` + "\n"))
+	f.Add([]byte(`{"format":"tivapromi-journal","version":2}` + "\n" + `{"k":"submit","id":"j1","sum":"bad","data":{}}` + "\n"))
 	f.Add([]byte("\x00\xff\xfe\n\n\n"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		jobs, rep := parseJournal(raw)
+		path := filepath.Join(t.TempDir(), "jobs.journal")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, jobs, err := OpenJournal(path, nil) // must not panic
+		if err != nil {
+			t.Fatalf("open of damaged journal failed instead of salvaging: %v", err)
+		}
+		rep := j.LoadReport()
+		j.Close()
 		if rep.Entries < 0 || rep.Dropped < 0 || rep.Orphans < 0 {
 			t.Fatalf("negative report counters: %+v", rep)
 		}
@@ -326,21 +336,19 @@ func FuzzJournalParse(f *testing.F) {
 			}
 			seen[rj.Submit.ID] = true
 		}
-		// The compacted rewrite must reparse clean and reproduce exactly
-		// the jobs salvage kept — nothing dropped records sneaks back in.
-		compact := compactJournal(raw)
-		jobs2, rep2 := parseJournal(compact)
+		// The salvage rewrite must reopen clean and reproduce exactly the
+		// jobs salvage kept — nothing dropped sneaks back in.
+		j2, jobs2, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep2 := j2.LoadReport()
+		j2.Close()
 		if rep2.Err != nil {
-			t.Fatalf("compacted journal still corrupt: %v (input %q)", rep2.Err, raw)
+			t.Fatalf("salvaged journal still corrupt: %v (input %q)", rep2.Err, raw)
 		}
-		if len(jobs2) != len(jobs) {
-			t.Fatalf("compacted replay has %d jobs, salvage had %d", len(jobs2), len(jobs))
-		}
-		for i := range jobs {
-			if jobs2[i].Submit.ID != jobs[i].Submit.ID || jobs2[i].State != jobs[i].State ||
-				jobs2[i].Seq != jobs[i].Seq || jobs2[i].Err != jobs[i].Err {
-				t.Fatalf("compacted job %d differs: %+v vs %+v", i, jobs2[i], jobs[i])
-			}
+		if !reflect.DeepEqual(jobs2, jobs) {
+			t.Fatalf("salvaged journal replays %+v, salvage had %+v", jobs2, jobs)
 		}
 	})
 }

@@ -829,8 +829,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if err := s.ck.Flush(); err != nil {
-		return fmt.Errorf("serve: drain flush: %w", err)
+	if err := s.ck.Close(); err != nil {
+		return fmt.Errorf("serve: drain close: %w", err)
 	}
 	obs.Emit("drained")
 	s.logf("serve: drained")

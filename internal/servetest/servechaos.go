@@ -1,8 +1,8 @@
 // servechaos.go is the crash-durability torture protocol: where Run
-// (servetest.go) kills the server at a checkpoint-commit ordinal and
-// only demands convergence of *resubmitted* work, RunServeChaos kills it
-// at a seeded journal-commit ordinal and demands the server itself
-// remember — every accepted job re-admitted from the write-ahead
+// (servetest.go) kills a journal-less server at a commit ordinal and
+// only demands convergence of *resubmitted* work, RunServeChaos kills a
+// journaled one at a seeded commit ordinal and demands the server
+// itself remember — every accepted job re-admitted from the write-ahead
 // journal, re-rendered byte-identically through the shared cache,
 // duplicate Idempotency-Key POSTs answered with the original id and
 // zero re-executions, and pre-crash SSE resume tokens refused with a
@@ -27,9 +27,9 @@ import (
 	"tivapromi/internal/campaign"
 	"tivapromi/internal/chaostest"
 	"tivapromi/internal/iofault"
+	"tivapromi/internal/recordlog"
 	"tivapromi/internal/rng"
 	"tivapromi/internal/serve"
-	"tivapromi/internal/sim"
 )
 
 // ChaosConfig tunes one crash-durability run.
@@ -63,7 +63,7 @@ type ChaosReport struct {
 	// therefore journaled — a 202 is the durability promise).
 	Submitted int
 	// Killed reports whether the seeded power-off actually fired;
-	// KillOrdinal is the journal-commit count it was armed at.
+	// KillOrdinal is the commit ordinal it was armed at.
 	Killed      bool
 	KillOrdinal int
 	// Tampered reports that a torn tail was appended to the journal
@@ -92,7 +92,7 @@ type ChaosReport struct {
 	Compared  int
 	Identical bool
 	// Corpses is the number of quarantine files beside the journal after
-	// the run (bounded by sim.QuarantineKeep).
+	// the run (bounded by recordlog.QuarantineKeep).
 	Corpses int
 	// LeakedGoroutines counts serve-owned goroutines alive after the
 	// final drain (must be 0).
@@ -108,7 +108,7 @@ func (r ChaosReport) Check() error {
 	case r.Submitted == 0:
 		return fmt.Errorf("servetest: chaos life accepted no submissions")
 	case !r.Killed:
-		return fmt.Errorf("servetest: the kill at journal commit %d never fired", r.KillOrdinal)
+		return fmt.Errorf("servetest: the kill at commit %d never fired", r.KillOrdinal)
 	case r.Recovered != r.Submitted:
 		return fmt.Errorf("servetest: %d of %d accepted jobs re-admitted from the journal", r.Recovered, r.Submitted)
 	case r.Compared != r.Submitted || !r.Identical:
@@ -121,8 +121,8 @@ func (r ChaosReport) Check() error {
 		return fmt.Errorf("servetest: pre-kill SSE id %q resumed without a snapshot — cross-incarnation aliasing", r.PreKillEventID)
 	case !r.ResumeChecked:
 		return fmt.Errorf("servetest: the current-epoch SSE resume path was never exercised")
-	case r.Corpses > sim.QuarantineKeep:
-		return fmt.Errorf("servetest: %d quarantine corpses beside the journal, bound is %d", r.Corpses, sim.QuarantineKeep)
+	case r.Corpses > recordlog.QuarantineKeep:
+		return fmt.Errorf("servetest: %d quarantine corpses beside the journal, bound is %d", r.Corpses, recordlog.QuarantineKeep)
 	case r.LeakedGoroutines != 0:
 		return fmt.Errorf("servetest: %d serve goroutine(s) leaked", r.LeakedGoroutines)
 	}
@@ -210,7 +210,7 @@ func sseFirstFrame(hc *http.Client, base, tenant, id, lastEventID string) (strin
 //  1. golden: render each variant serially and undisturbed;
 //  2. life A: a journaled server on a power-off-capable filesystem, one
 //     keyed job per tenant, an SSE watcher recording resume tokens —
-//     hard-killed at a seeded journal-commit ordinal (the power-off
+//     hard-killed at a seeded commit ordinal (the power-off
 //     refuses every later write, exactly like yanked power);
 //  3. the corpse is desecrated: a torn half-record is appended to the
 //     journal, so the restart must salvage, not merely reopen;
@@ -275,18 +275,21 @@ func RunServeChaos(ctx context.Context, cfg ChaosConfig) (ChaosReport, error) {
 
 	// Phase 2, life A: journaled server on a power-off filesystem. No
 	// probabilistic faults — the kill is the fault, and its placement
-	// (a journal append-commit ordinal) is the only randomness.
+	// (a commit ordinal) is the only randomness.
 	fsys := iofault.NewChaos(nil, iofault.ChaosConfig{Seed: master.Uint64()})
-	// The journal commits once for the header, once per accepted submit,
-	// and once per state transition; an ordinal inside [2, tenants+2]
-	// lands the kill between the first admission (commit 2 — its sync
-	// completes before the hook fires, so at least one 202 is durable)
-	// and the last terminal record, where recovery has real work.
+	// Journal and checkpoint share the commit ordinal: the journal
+	// commits once per accepted submit (the first also carries the
+	// header) and once per state transition, the checkpoint once per
+	// new result. No result exists before the first admission, so
+	// commit 1 is always a submit — its sync completes before the hook
+	// fires, so at least one 202 is durable — and an ordinal inside
+	// [2, tenants+2] lands the kill while jobs are in flight, where
+	// recovery has real work.
 	killAt := 2 + rng.Intn(master, tenants+1)
 	rep.KillOrdinal = killAt
 	killCh := make(chan struct{})
 	var killOnce sync.Once
-	fsys.OnAppend = func(_ string, n int) {
+	fsys.OnCommit = func(_ string, n int) {
 		if n >= killAt {
 			// The hook runs without the chaos lock held, so the power-off
 			// is safe to pull from here — this commit is the last write
@@ -368,7 +371,7 @@ func RunServeChaos(ctx context.Context, cfg ChaosConfig) (ChaosReport, error) {
 		srv.Close()
 		return rep, ctx.Err()
 	}
-	// The crash: no drain, no flush. Close only reaps goroutines — the
+	// The crash: no drain. Close only reaps goroutines — the
 	// power-off already made every further write fail, so the on-disk
 	// journal is exactly what a SIGKILL would have left.
 	stopClients()

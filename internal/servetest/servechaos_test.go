@@ -7,7 +7,7 @@ import (
 
 // TestServeChaosCrashDurable is the acceptance test for the durable
 // serving core: a journaled server hard-killed at a seeded
-// journal-commit ordinal (with a torn tail appended for good measure)
+// commit ordinal (with a torn tail appended for good measure)
 // must come back remembering everything — every accepted job
 // re-admitted and re-rendered byte-identically, duplicate
 // Idempotency-Key POSTs answered with the original id and zero new

@@ -65,7 +65,8 @@ type Report struct {
 	// SubmittedChaos / SubmittedClean count accepted submissions per phase.
 	SubmittedChaos, SubmittedClean int
 	// Killed reports whether the mid-flight kill actually fired (a chaos
-	// phase that finishes before its kill ordinal survives instead).
+	// phase that finishes before its kill ordinal, or before any fault,
+	// survives instead).
 	Killed bool
 	// Faults aggregates every fault the chaos filesystem injected.
 	Faults iofault.ChaosStats
@@ -306,8 +307,13 @@ func runChaosPhase(ctx context.Context, cfg Config, rep *Report, tenants, worker
 	killAt := 1 + rng.Intn(master, 12)
 	killCh := make(chan struct{})
 	var killOnce sync.Once
+	// The kill lands at the first commit at or past killAt that follows
+	// an injected fault: a phase killed before any fault restarts from
+	// a clean checkpoint and leaves the fault paths untested. Which
+	// draw faults depends on how many decisions each commit takes, so
+	// the ordinal alone cannot promise one.
 	fsys.OnCommit = func(_ string, n int) {
-		if n >= killAt {
+		if n >= killAt && fsys.Stats().Total() > 0 {
 			killOnce.Do(func() { close(killCh) })
 		}
 	}
@@ -360,9 +366,9 @@ func runChaosPhase(ctx context.Context, cfg Config, rep *Report, tenants, worker
 		srv.Close()
 		return ctx.Err()
 	}
-	// The kill: no drain, no flush — the server dies where it stands,
-	// exactly like a SIGKILL'd process. Whatever reached the checkpoint
-	// through the chaos FS is what the restart inherits.
+	// The kill: no drain — the server dies where it stands, exactly like
+	// a SIGKILL'd process. Whatever reached the checkpoint through the
+	// chaos FS is what the restart inherits.
 	stopClients()
 	srv.Close()
 	hs.Close()

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tivapromi/internal/faults"
+	"tivapromi/internal/iofault"
 )
 
 func newTestCheckpoint(t *testing.T) *Checkpoint {
@@ -36,8 +37,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := ck.PutOutput("table1", "rendered text"); err != nil {
 		t.Fatal(err)
 	}
+	if err := ck.PutProbe("probefp", map[string]string{"verdict": "<safe>"}); err != nil {
+		t.Fatal(err)
+	}
 
-	// A fresh load sees both the result and the cached output.
+	// A fresh load sees the result, the cached output and the probe.
 	ck2, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -48,6 +52,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if text, ok := ck2.Output("table1"); !ok || text != "rendered text" {
 		t.Fatalf("Output = %q, %v", text, ok)
+	}
+	if raw, ok := ck2.Probe("probefp"); !ok || string(raw) != `{"verdict":"\u003csafe\u003e"}` {
+		t.Fatalf("Probe = %s, %v", raw, ok)
 	}
 	if _, ok := ck2.lookup("fp", 0x43); ok {
 		t.Fatal("phantom seed present")
@@ -79,7 +86,7 @@ func TestNilCheckpointIsNoop(t *testing.T) {
 	if _, ok := ck.lookup("fp", 1); ok {
 		t.Fatal("nil checkpoint returned data")
 	}
-	if err := ck.Flush(); err != nil {
+	if err := ck.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if ck.Path() != "" {
@@ -367,30 +374,92 @@ func TestRunnerUnwritableCheckpointSurfaces(t *testing.T) {
 	}
 }
 
-func TestCheckpointFlushEvery(t *testing.T) {
+// countingFS is iofault.OS with a tally of the bytes written through
+// any handle and of the renames.
+type countingFS struct {
+	iofault.OS
+	written atomic.Int64
+	renames atomic.Int64
+}
+
+func (f *countingFS) CreateTemp(dir, pattern string) (iofault.File, error) {
+	file, err := f.OS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{file, f}, nil
+}
+
+func (f *countingFS) OpenAppend(path string) (iofault.File, error) {
+	file, err := f.OS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return countingFile{file, f}, nil
+}
+
+func (f *countingFS) Rename(oldpath, newpath string) error {
+	f.renames.Add(1)
+	return f.OS.Rename(oldpath, newpath)
+}
+
+type countingFile struct {
+	iofault.File
+	fs *countingFS
+}
+
+func (c countingFile) Write(p []byte) (int, error) {
+	n, err := c.File.Write(p)
+	c.fs.written.Add(int64(n))
+	return n, err
+}
+
+// TestCheckpointWritesAreLinear: recording N results writes each one
+// once — total bytes written stay within 2x the final file, with no
+// rename on a clean run — and re-recording a held result writes
+// nothing. A checkpoint that rewrites its whole file per result writes
+// O(N^2) bytes and fails.
+func TestCheckpointWritesAreLinear(t *testing.T) {
+	const n = 200
+	fsys := &countingFS{}
 	path := filepath.Join(t.TempDir(), "ck.json")
-	ck, err := LoadCheckpoint(path)
+	ck, err := LoadCheckpointFS(path, fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.FlushEvery = 3
-	for s := uint64(1); s <= 2; s++ {
-		if err := ck.record("fp", s, Result{Seed: s}); err != nil {
+	for s := uint64(1); s <= n; s++ {
+		if err := ck.record("fp", s, Result{Technique: "PARA", Seed: s, TotalActs: 1000 + s}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("checkpoint flushed before FlushEvery results accumulated")
-	}
-	if err := ck.record("fp", 3, Result{Seed: 3}); err != nil {
+	before := fsys.written.Load()
+	if err := ck.record("fp", 7, Result{Technique: "PARA", Seed: 7, TotalActs: 1007}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpoint missing after FlushEvery results: %v", err)
-	}
-	// Flush is idempotent and cheap when clean.
-	if err := ck.Flush(); err != nil {
+	if err := ck.Close(); err != nil {
 		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := fsys.written.Load()
+	if written != before {
+		t.Fatalf("re-recording a held result wrote %d bytes", written-before)
+	}
+	if written > 2*info.Size() {
+		t.Fatalf("%d results wrote %d bytes for a %d-byte file (%.1fx), want <= 2x",
+			n, written, info.Size(), float64(written)/float64(info.Size()))
+	}
+	if r := fsys.renames.Load(); r != 0 {
+		t.Fatalf("clean run renamed %d times, want 0", r)
+	}
+	ck2, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := ck2.LoadReport(); rep.Err != nil || rep.Entries != n {
+		t.Fatalf("reload: %+v, want %d clean entries", rep, n)
 	}
 }
 

@@ -139,7 +139,7 @@ type (
 	// ChaosFSStats tallies the faults a ChaosFS injected.
 	ChaosFSStats = iofault.ChaosStats
 	// CheckpointLoadReport describes what loading a checkpoint found:
-	// entries kept, corrupt entries dropped, v1 migration, quarantine.
+	// entries kept, corrupt entries dropped, quarantine.
 	CheckpointLoadReport = sim.LoadReport
 )
 
@@ -153,8 +153,8 @@ var (
 	// checksum/structure verification (the file is quarantined and every
 	// verifiable entry salvaged).
 	ErrCheckpointCorrupt = sim.ErrCheckpointCorrupt
-	// ErrCheckpointVersion marks a checkpoint from an unknown future
-	// format version.
+	// ErrCheckpointVersion marks a checkpoint of another format version
+	// (quarantined whole; its runs re-simulate — there is no migration).
 	ErrCheckpointVersion = sim.ErrCheckpointVersion
 	// ErrCampaignCellSkipped marks a campaign cell parked by the retry
 	// circuit breaker; the root cause stays wrapped underneath.
@@ -310,23 +310,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) { return sim.LoadCheckpoin
 // the crash-consistency machinery.
 func LoadCheckpointFS(path string, fsys FS) (*Checkpoint, error) {
 	return sim.LoadCheckpointFS(path, fsys)
-}
-
-// LoadShardedCheckpoint opens or creates a sharded checkpoint: dir holds
-// one v2 checkpoint file per cell-group shard, and a flush rewrites only
-// the shards that changed — the layout for campaigns whose state is too
-// large to re-serialize monolithically. An existing directory's on-disk
-// shard count wins over the argument. Kill/resume semantics (atomic
-// writes, salvage, quarantine, byte-identical convergence) match the
-// single-file format shard by shard.
-func LoadShardedCheckpoint(dir string, shards int) (*Checkpoint, error) {
-	return sim.LoadShardedCheckpoint(dir, shards)
-}
-
-// LoadShardedCheckpointFS is LoadShardedCheckpoint through an explicit
-// filesystem seam (nil = the real filesystem).
-func LoadShardedCheckpointFS(dir string, shards int, fsys FS) (*Checkpoint, error) {
-	return sim.LoadShardedCheckpointFS(dir, shards, fsys)
 }
 
 // ScaleSmokeReport carries the measurements of one full-geometry scale
