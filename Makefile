@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-debugasserts race check chaos serve-chaos bench bench-campaign bench-hotpath bench-scale experiments examples fig4 serve serve-smoke obs-smoke clean
+.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench bench-campaign bench-hotpath bench-scale experiments examples fig4 serve serve-smoke obs-smoke clean
 
 all: build vet test
 
@@ -11,6 +11,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when gofmt would change any
+# Go file in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists unformatted files:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -32,9 +37,9 @@ test-debugasserts:
 race:
 	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/recordlog/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/servetest/... ./internal/hotpath/... ./internal/bitset/... ./internal/obs/...
 
-# The full pre-merge gate: build, vet, tests (both assertion modes), race
-# tests.
-check: build vet test test-debugasserts race
+# The full pre-merge gate: formatting, build, vet, tests (both assertion
+# modes), race tests.
+check: fmt-check build vet test test-debugasserts race
 
 # Crash-consistency torture: kill a live campaign at checkpoint-commit
 # boundaries under injected I/O faults, corrupt the checkpoint, resume,

@@ -134,9 +134,10 @@
 //	-pprof-addr HOST:PORT
 //	                  serve net/http/pprof on a side listener for live
 //	                  CPU/heap/goroutine profiles of any long run
-//	-no-metrics       disable the sampled metric flushes (the act path's
-//	                  two atomic adds per interval); mainly for A/B-ing
-//	                  obs overhead and the determinism property test
+//	-no-metrics       disable the sampled metric flushes (the driver's
+//	                  one atomic add per member per 1024-access block);
+//	                  mainly for A/B-ing obs overhead and the
+//	                  determinism property test
 package main
 
 import (

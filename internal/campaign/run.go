@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tivapromi/internal/dram"
 	"tivapromi/internal/obs"
 	"tivapromi/internal/sim"
 )
@@ -426,14 +428,14 @@ type unit struct {
 // key and seed list, until that group holds sim.GroupCap members.
 func planUnits(cells []Cell, rs *ResultSet) []*unit {
 	var units []*unit
-	open := make(map[string]*unit)
+	open := make(map[groupKey]*unit)
 	for _, c := range cells {
 		cr := rs.results[c.Key]
 		if !c.IsSweep() {
 			units = append(units, &unit{cells: []Cell{c}, crs: []*CellResult{cr}})
 			continue
 		}
-		key := sim.Fingerprint(c.Config.StreamKey(), "", nil) + fmt.Sprint(c.Seeds)
+		key := groupKeyOf(c)
 		if u := open[key]; u != nil && len(u.cells) < sim.GroupCap {
 			u.cells = append(u.cells, c)
 			u.crs = append(u.crs, cr)
@@ -444,6 +446,40 @@ func planUnits(cells []Cell, rs *ResultSet) []*unit {
 		units = append(units, u)
 	}
 	return units
+}
+
+// groupKey is the comparable form of a sweep cell's stream key
+// (sim.Config.StreamKey) and seed list: two cells may share a group
+// exactly when their keys are equal, which is reflect.DeepEqual of
+// both. The slices are packed as varints, so the packing is
+// unambiguous; a nil AttackBanks packs apart from an empty one.
+type groupKey struct {
+	params                  dram.Params
+	windows, minAgg, maxAgg int
+	share                   float64
+	seed                    uint64
+	banks, seeds            string
+}
+
+func groupKeyOf(c Cell) groupKey {
+	k := c.Config.StreamKey()
+	var banks, seeds []byte
+	if k.AttackBanks != nil {
+		banks = []byte{1}
+	}
+	for _, b := range k.AttackBanks {
+		banks = binary.AppendVarint(banks, int64(b))
+	}
+	if c.Seeds != nil {
+		seeds = []byte{1}
+	}
+	for _, s := range c.Seeds {
+		seeds = binary.AppendUvarint(seeds, s)
+	}
+	return groupKey{params: k.Params, windows: k.Windows,
+		minAgg: k.MinAggressors, maxAgg: k.MaxAggressors,
+		share: k.AttackShare, seed: k.Seed,
+		banks: string(banks), seeds: string(seeds)}
 }
 
 // prepare serves what the checkpoint holds and returns the unit's runs

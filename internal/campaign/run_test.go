@@ -328,3 +328,73 @@ func TestCellSecondsFitThePool(t *testing.T) {
 		t.Fatalf("cells charged %.3f s; %d workers over %.3f s of wall give at most %.3f s", got, workers, wall, limit)
 	}
 }
+
+// TestPlanUnitsMatchesDeepEqualGrouping: on the merged evaluation,
+// planUnits' comparable group key forms exactly the units that grouping
+// by reflect.DeepEqual of stream keys and seed lists forms — the test
+// sim.RunGroup applies to its members.
+func TestPlanUnitsMatchesDeepEqualGrouping(t *testing.T) {
+	ev := DefaultEval()
+	var specs []Spec
+	for _, b := range []func(Eval) Spec{
+		Table1Spec, Table2Spec, Table3Spec, Fig4Spec, FloodingSpec,
+		PoliciesSpec, AggressorsSpec, AblationSpec, ExtensionsSpec,
+		LatencySpec, ThresholdsSpec, FaultsSpec,
+	} {
+		specs = append(specs, b(ev))
+	}
+	cells := Merge("evaluation", specs...).Cells
+
+	// Reference: each sweep cell joins the latest unit whose first cell
+	// has a DeepEqual stream key and seed list, until it is full.
+	var want [][]string
+	latest := map[int]int{} // first cell index → its latest unit
+	for i, c := range cells {
+		if !c.IsSweep() {
+			want = append(want, []string{c.Key})
+			continue
+		}
+		first := -1
+		for j := range latest {
+			o := cells[j]
+			if reflect.DeepEqual(o.Config.StreamKey(), c.Config.StreamKey()) && reflect.DeepEqual(o.Seeds, c.Seeds) {
+				first = j
+			}
+		}
+		if first >= 0 && len(want[latest[first]]) < sim.GroupCap {
+			want[latest[first]] = append(want[latest[first]], c.Key)
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		latest[first] = len(want)
+		want = append(want, []string{c.Key})
+	}
+
+	rs := &ResultSet{results: map[string]*CellResult{}}
+	var got [][]string
+	for _, u := range planUnits(cells, rs) {
+		var keys []string
+		for _, c := range u.cells {
+			keys = append(keys, c.Key)
+		}
+		got = append(got, keys)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("planUnits formed %d units, DeepEqual grouping %d; first difference at %v",
+			len(got), len(want), firstDiff(got, want))
+	}
+	if len(got) >= len(cells) {
+		t.Fatalf("no sweep cells were grouped: %d units for %d cells", len(got), len(cells))
+	}
+}
+
+func firstDiff(a, b [][]string) any {
+	for i := range min(len(a), len(b)) {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return []any{i, a[i], b[i]}
+		}
+	}
+	return min(len(a), len(b))
+}

@@ -98,14 +98,14 @@ func DriveActPath(m mitigation.Mitigator, t mitigation.Target, n int, scratch []
 				interval = 0
 				m.OnNewWindow()
 			}
-			// Mirror the production lane's sampled metrics flush (see
-			// memctrl.Lane.FlushMetrics): two atomic adds per interval,
-			// nothing per act. Benchmarking it here means NsPerAct and the
-			// alloc gate measure the act path as deployed, obs included.
-			if obs.MetricsEnabled() {
-				obs.Accesses.Add(uint64(perTick))
-				obs.Acts.Add(uint64(perTick))
-			}
+		}
+		// Mirror the simulation driver's access-metric flush (see
+		// sim's runEnv.flushAccesses): one atomic add per 1024-access
+		// block, nothing per act. Benchmarking it here means NsPerAct
+		// and the alloc gate measure the act path as deployed, obs
+		// included.
+		if (i+1)%1024 == 0 && obs.MetricsEnabled() {
+			obs.Accesses.Add(1024)
 		}
 	}
 	return emitted, scratch

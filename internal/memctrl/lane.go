@@ -5,7 +5,6 @@ import (
 
 	"tivapromi/internal/dram"
 	"tivapromi/internal/mitigation"
-	"tivapromi/internal/obs"
 )
 
 // AccessesPerInterval derives how many serviced accesses fit in one
@@ -50,11 +49,10 @@ type Lane struct {
 	refInt  int32
 	tick    func()
 
-	// obsAccesses is the value of stats.Accesses at the last sampled
-	// metrics flush. The act fast path never touches the (shared,
-	// atomic) obs registry; fireRefreshInterval flushes the delta once
-	// per ~AccessesPerInterval accesses, keeping the hot loop at plain
-	// local increments and the act path at 0 allocs with metrics on.
+	// obsAccesses is the value of stats.Accesses at the last
+	// TakeAccesses. The lane never touches the (shared, atomic) obs
+	// registry itself: the driver sums the deltas of a member's lanes
+	// and flushes them once per access block.
 	obsAccesses uint64
 }
 
@@ -156,20 +154,14 @@ func (l *Lane) fireRefreshInterval() {
 	if l.mit != nil && l.ivInWin == 0 {
 		l.mit.OnNewWindow()
 	}
-	if obs.MetricsEnabled() {
-		l.FlushMetrics()
-	}
 }
 
-// FlushMetrics pushes the lane's access count delta since the last
-// flush into the process-wide registry. Called automatically at every
-// refresh-interval boundary (two atomic ops per ~165 accesses) and by
-// run teardown so the tail past the final boundary is not lost.
-func (l *Lane) FlushMetrics() {
-	if d := l.stats.Accesses - l.obsAccesses; d != 0 {
-		obs.Accesses.Add(d)
-		l.obsAccesses = l.stats.Accesses
-	}
+// TakeAccesses returns the accesses the lane has serviced since the
+// previous call, for the driver's access metric.
+func (l *Lane) TakeAccesses() uint64 {
+	d := l.stats.Accesses - l.obsAccesses
+	l.obsAccesses = l.stats.Accesses
+	return d
 }
 
 // closeRow is the lane's after-execute step: the maintenance activation

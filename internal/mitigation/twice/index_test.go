@@ -30,7 +30,7 @@ func TestRowIndexMatchesMapReference(t *testing.T) {
 					break
 				}
 			}
-			pos := int32(rng.Intn(src, 1 << 20))
+			pos := int32(rng.Intn(src, 1<<20))
 			ref[row] = pos
 			ix.put(row, pos)
 		case 2: // del

@@ -118,11 +118,11 @@ func ChaosInjection(kind string) {
 	c.Inc()
 }
 
-// Device/controller scale: sampled from lane refresh-interval
-// boundaries and per-run collection — never from the act fast path.
+// Device/controller scale: flushed per access block and per run by the
+// simulation driver — never from the act fast path.
 var (
 	Accesses = Default.Counter("tivapromi_accesses_total",
-		"Memory accesses driven through lane controllers (sampled at refresh-interval boundaries).")
+		"Memory accesses driven through lane controllers (flushed once per 1024-access block).")
 	Acts = Default.Counter("tivapromi_acts_total",
 		"Row activations issued, mitigation extras included (sampled per run).")
 	SparseStateBytes = Default.Gauge("tivapromi_sparse_state_bytes",

@@ -38,7 +38,7 @@ func MetricsEnabled() bool { return metricsEnabled.Load() }
 
 // SetMetricsEnabled toggles hot-path metric flushes. Registry writes
 // from cold paths are unconditional; this switch only gates the
-// sampled per-interval flushes so benchmarks can isolate obs cost.
+// per-block access flushes so benchmarks can isolate obs cost.
 func SetMetricsEnabled(on bool) { metricsEnabled.Store(on) }
 
 // A Counter is a monotonically increasing metric.

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"io/fs"
 	"path/filepath"
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"tivapromi/internal/iofault"
+	"tivapromi/internal/jsonlit"
 )
 
 // Typed damage classes, reported through Report.Err and matchable with
@@ -57,7 +59,9 @@ var (
 var errClosed = errors.New("recordlog: log is closed")
 
 // Record is one log entry: a kind, an identity (ID, plus Sub for
-// two-part keys) and a JSON payload.
+// two-part keys) and a JSON payload. The records Open passes to accept
+// carry a Data that aliases the bytes read from the file; a schema may
+// keep it but must not modify it.
 type Record struct {
 	Kind string
 	ID   string
@@ -77,18 +81,27 @@ type line struct {
 	Data    json.RawMessage `json:"data,omitempty"`
 }
 
-// sum is the per-record checksum: SHA-256 over kind, ID, Sub and the
-// payload bytes, NUL-separated. A flipped bit anywhere in a record — key
-// or data — fails verification, so a damaged record can never be
-// resurrected under the wrong identity.
+// sum is the per-record checksum in hex: SHA-256 over kind, ID, Sub
+// and the payload bytes, NUL-separated. A flipped bit anywhere in a
+// record — key or data — fails verification, so a damaged record can
+// never be resurrected under the wrong identity.
 func sum(kind, id, sub string, data []byte) string {
-	h := sha256.New()
-	for _, s := range []string{kind, id, sub} {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+	return hex.EncodeToString(digest(sha256.New(), nil, []byte(kind), []byte(id), []byte(sub), data))
+}
+
+// nul separates the checksummed fields.
+var nul = []byte{0}
+
+// digest writes the checksum input into h and appends the digest to
+// dst.
+func digest(h hash.Hash, dst, kind, id, sub, data []byte) []byte {
+	h.Reset()
+	for _, f := range [...][]byte{kind, id, sub} {
+		h.Write(f)
+		h.Write(nul)
 	}
 	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil))
+	return h.Sum(dst)
 }
 
 // encode renders one newline-terminated line. HTML escaping is off so
@@ -201,7 +214,8 @@ func Open(path string, fsys iofault.FS, format string, version int, accept func(
 }
 
 // parse walks raw, keeping every record that verifies and that accept
-// takes. It never panics on any input.
+// takes. Only the header goes through encoding/json; each record line
+// is scanned once, by scanner.record. It never panics on any input.
 func (l *Log) parse(raw []byte, format string, version int, accept func(Record) error) Report {
 	var rep Report
 	damage := func(msg string, args ...any) {
@@ -224,6 +238,8 @@ func (l *Log) parse(raw []byte, format string, version int, accept func(Record) 
 		return rep
 	}
 	off := len(first) + 1
+	sc := scanner{h: sha256.New()}
+	l.lines = make([][]byte, 0, bytes.Count(rest, []byte{'\n'}))
 	for len(rest) > 0 {
 		ln, next, ok := splitLine(rest)
 		at := off
@@ -233,16 +249,17 @@ func (l *Log) parse(raw []byte, format string, version int, accept func(Record) 
 			damage("torn final line at offset %d", at)
 			break
 		}
-		var x line
-		if json.Unmarshal(ln, &x) != nil || x.K == "" || x.Sum != sum(x.K, x.ID, x.Sub, x.Data) {
+		r, ok := sc.record(ln)
+		if !ok {
 			damage("record at offset %d failed verification", at)
 			continue
 		}
-		if err := accept(Record{Kind: x.K, ID: x.ID, Sub: x.Sub, Data: x.Data}); err != nil {
+		if err := accept(r); err != nil {
 			damage("record at offset %d: %v", at, err)
 			continue
 		}
-		l.lines = append(l.lines, append(append([]byte(nil), ln...), '\n'))
+		// The held line aliases raw, newline included.
+		l.lines = append(l.lines, raw[at:off:off])
 		rep.Records++
 	}
 	return rep
@@ -256,6 +273,69 @@ func splitLine(b []byte) (ln, rest []byte, ok bool) {
 		return b, nil, false
 	}
 	return b[:i], b[i+1:], true
+}
+
+// scanner parses record lines. Its hash and buffers are reused from
+// line to line, so a record that verifies costs only the strings of
+// its identity.
+type scanner struct {
+	h    hash.Hash
+	sum  []byte
+	hex  [2 * sha256.Size]byte
+	kind string // the previous record's kind, reused while it repeats
+}
+
+// record parses one line in exactly the layout encode writes,
+//
+//	{"k":KIND,"id":ID,"sub":SUB,"sum":HEX,"data":PAYLOAD}
+//
+// with "id" and "sub" present only when non-empty, and verifies the
+// checksum over the payload bytes in place. Data aliases ln. Any other
+// layout — whitespace, reordered, repeated or extra fields, an empty
+// string field, an escaped or upper-case sum — was not written by
+// encode, so it is refused as damage.
+func (sc *scanner) record(ln []byte) (Record, bool) {
+	var f [3][]byte // kind, ID, Sub
+	for i, key := range [...]string{`{"k":`, `,"id":`, `,"sub":`} {
+		rest, ok := cut(ln, key)
+		switch {
+		case !ok && i == 0:
+			return Record{}, false
+		case !ok:
+			continue // an omitted empty ID or Sub
+		}
+		v, n, ok := jsonlit.String(rest)
+		if !ok || len(v) == 0 {
+			return Record{}, false
+		}
+		f[i], ln = v, rest[n:]
+	}
+	rest, ok := cut(ln, `,"sum":"`)
+	if !ok || len(rest) <= len(sc.hex) || rest[len(sc.hex)] != '"' {
+		return Record{}, false
+	}
+	data, ok := cut(rest[len(sc.hex)+1:], `,"data":`)
+	if !ok || len(data) < 2 || data[len(data)-1] != '}' {
+		return Record{}, false
+	}
+	data = data[:len(data)-1]
+	sc.sum = digest(sc.h, sc.sum[:0], f[0], f[1], f[2], data)
+	hex.Encode(sc.hex[:], sc.sum)
+	if !bytes.Equal(sc.hex[:], rest[:len(sc.hex)]) {
+		return Record{}, false
+	}
+	if string(f[0]) != sc.kind {
+		sc.kind = string(f[0])
+	}
+	return Record{Kind: sc.kind, ID: string(f[1]), Sub: string(f[2]), Data: data}, true
+}
+
+// cut returns b without the literal prefix, and whether b had it.
+func cut(b []byte, prefix string) ([]byte, bool) {
+	if len(b) < len(prefix) || string(b[:len(prefix)]) != prefix {
+		return nil, false
+	}
+	return b[len(prefix):], true
 }
 
 // Append commits one record: one write, one fsync. A record whose

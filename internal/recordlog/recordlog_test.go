@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -303,4 +304,86 @@ func FuzzRecordLog(f *testing.F) {
 			t.Fatalf("rewritten log reparses to %+v (%v), want %+v", again, rep2.Err, got)
 		}
 	})
+}
+
+// TestIdentityEscapesRoundTrip: kinds, IDs and Subs that JSON must
+// escape, or that encode writes raw (HTML characters, non-ASCII text),
+// come back from the line scan exactly as appended.
+func TestIdentityEscapesRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _, err := Open(path, nil, testFormat, testVersion, collect(new([]Record)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := []string{`"`, `\`, `<`, `&`, "\u2028", "\u2029", "é漢字", `a"b\c<d>&e`, "tab\tnl\n", "\x01", "\ufffd", "\U0001F600"}
+	var want []Record
+	for i, s := range odd {
+		r := Record{Kind: "k" + s, ID: s, Sub: s + s, Data: json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))}
+		if i%3 == 0 {
+			r.Sub = "" // an omitted Sub next to an escaped ID
+		}
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	l.Close()
+	got, rep := reopen(t, path)
+	if rep.Err != nil || rep.Records != len(want) {
+		t.Fatalf("report %+v, want %d clean records", rep, len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reloaded %q\nwant %q", got, want)
+	}
+}
+
+// TestNonCanonicalLinesAreDamage: a line whose checksum holds but whose
+// envelope is not the exact layout encode writes — fields reordered,
+// repeated or extra, whitespace, an empty field written out, escapes
+// where encode writes none — is dropped as damage, and the rewritten
+// log does not bring it back.
+func TestNonCanonicalLinesAreDamage(t *testing.T) {
+	good := Record{Kind: "k", ID: "id", Sub: "s", Data: json.RawMessage(`{"n":1}`)}
+	sm := sum(good.Kind, good.ID, good.Sub, good.Data)
+	canonical := fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1}}`, sm)
+	bad := []string{
+		fmt.Sprintf(`{"id":"id","k":"k","sub":"s","sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","sub":"s","id":"id","sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","data":{"n":1},"sum":"%s"}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","id":"id","sub":"s","sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","x":1,"sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1},"x":1}`, sm),
+		fmt.Sprintf(`{"k": "k","id":"id","sub":"s","sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1}} `, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1}}`, strings.ToUpper(sm)),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"\u%04x%s","data":{"n":1}}`, sm[0], sm[1:]),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sub":"","sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"","id":"id","sub":"s","sum":"%s","data":{"n":1}}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1}}x`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":}`, sm),
+		fmt.Sprintf(`{"k":"k","id":"id","sub":"s","sum":"%s","data":{"n":1}}`, sum(good.Kind, good.ID, "", good.Data)),
+	}
+	// The scan decodes escapes, so an escaped identity that encode
+	// would have written raw still names the same record.
+	escaped := fmt.Sprintf(`{"k":"\u006b","id":"i\u0064","sub":"\u0073","sum":"%s","data":{"n":1}}`, sm)
+	image := `{"format":"recordlog-test","version":1}` + "\n" + canonical + "\n" +
+		strings.Join(bad, "\n") + "\n" + escaped + "\n"
+	path := filepath.Join(t.TempDir(), "log")
+	if err := os.WriteFile(path, []byte(image), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, rep := reopen(t, path)
+	if !errors.Is(rep.Err, ErrCorrupt) || rep.Dropped != len(bad) || rep.Records != 2 {
+		t.Fatalf("report %+v, want %d dropped and 2 kept", rep, len(bad))
+	}
+	for _, r := range got {
+		if !reflect.DeepEqual(r, good) {
+			t.Fatalf("kept %+v, want only %+v", r, good)
+		}
+	}
+	again, rep2 := reopen(t, path)
+	if rep2.Err != nil || !reflect.DeepEqual(again, got) {
+		t.Fatalf("rewritten log: %+v, records %v; want clean %v", rep2, again, got)
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -351,4 +352,82 @@ func FuzzJournalParse(f *testing.F) {
 			t.Fatalf("salvaged journal replays %+v, salvage had %+v", jobs2, jobs)
 		}
 	})
+}
+
+// TestJournalLoadsFormatV2Fixture: a journal written by the
+// encoding/json line parser's release of format version 2
+// (testdata/compat), with job IDs, tenants and errors that need JSON
+// escapes or are non-ASCII, replays clean: every record held, every job
+// equal to what encoding/json reads from its lines.
+func TestJournalLoadsFormatV2Fixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "compat", "journal-v2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "serve-jobs.journal")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, jobs, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")[1:]
+	if rep := j.LoadReport(); rep.Err != nil || rep.Entries != len(lines) || rep.Dropped != 0 {
+		t.Fatalf("fixture replays as %+v, want %d clean entries", rep, len(lines))
+	}
+	want := map[string]*ReplayedJob{}
+	var order []string
+	for _, ln := range lines {
+		var rec struct {
+			K, ID string
+			Data  json.RawMessage
+		}
+		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.K == journalKindSubmit {
+			var s SubmitRecord
+			if err := json.Unmarshal(rec.Data, &s); err != nil {
+				t.Fatal(err)
+			}
+			want[rec.ID] = &ReplayedJob{Submit: s, State: StateQueued}
+			order = append(order, rec.ID)
+			continue
+		}
+		var s StateRecord
+		if err := json.Unmarshal(rec.Data, &s); err != nil {
+			t.Fatal(err)
+		}
+		w := want[rec.ID]
+		w.State, w.Err, w.Epoch, w.Seq = s.State, s.Error, max(w.Epoch, s.Epoch), max(w.Seq, s.Seq)
+	}
+	if len(jobs) != len(order) {
+		t.Fatalf("replayed %d jobs, want %d", len(jobs), len(order))
+	}
+	escaped := 0
+	for i, id := range order {
+		if !reflect.DeepEqual(jobs[i], *want[id]) {
+			t.Fatalf("job %d replays as %+v, want %+v", i, jobs[i], *want[id])
+		}
+		if strings.ContainsAny(id, "\"\\<&\u2028") || !isASCII(id) {
+			escaped++
+		}
+	}
+	if escaped < 3 {
+		t.Fatalf("fixture exercises %d unusual job IDs, want at least 3", escaped)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
+		t.Fatal("a clean replay rewrote the journal")
+	}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }

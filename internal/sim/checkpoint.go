@@ -104,7 +104,7 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	path    string
 	log     *recordlog.Log
-	sweeps  map[string]map[string]Result // run fingerprint → seed key → result
+	sweeps  map[sweepKey]Result
 	probes  map[string]json.RawMessage
 	outputs map[string]string
 	// report is what LoadCheckpoint found on disk.
@@ -145,14 +145,14 @@ func (c *Checkpoint) CacheStats() CacheStats {
 	return st
 }
 
+// sweepKey files one seed's result: the run fingerprint and the seed
+// key.
+type sweepKey struct{ fp, seed string }
+
 // entries counts every entry held. Requires c.mu held (or exclusive
 // access during load).
 func (c *Checkpoint) entries() int {
-	n := len(c.outputs) + len(c.probes)
-	for _, sw := range c.sweeps {
-		n += len(sw)
-	}
-	return n
+	return len(c.sweeps) + len(c.outputs) + len(c.probes)
 }
 
 // LoadCheckpoint opens or creates a checkpoint at path through the real
@@ -175,11 +175,13 @@ func LoadCheckpointFS(path string, fs iofault.FS) (*Checkpoint, error) {
 	}
 	c := &Checkpoint{
 		path:    path,
-		sweeps:  make(map[string]map[string]Result),
+		sweeps:  make(map[sweepKey]Result),
 		probes:  make(map[string]json.RawMessage),
 		outputs: make(map[string]string),
 	}
-	log, rep, err := recordlog.Open(path, fs, checkpointFormat, checkpointVersion, c.apply)
+	names := make(nameTab)
+	log, rep, err := recordlog.Open(path, fs, checkpointFormat, checkpointVersion,
+		func(r recordlog.Record) error { return c.apply(r, names) })
 	if err != nil {
 		return nil, fmt.Errorf("sim: checkpoint: %w", err)
 	}
@@ -205,15 +207,17 @@ func LoadCheckpointFS(path string, fs iofault.FS) (*Checkpoint, error) {
 }
 
 // apply folds one verified record into the in-memory store; an error
-// refuses the record as damage.
-func (c *Checkpoint) apply(r recordlog.Record) error {
+// refuses the record as damage. Sweep payloads, nearly every record,
+// go through decodeResult; names interns their technique and policy
+// names across the load.
+func (c *Checkpoint) apply(r recordlog.Record, names nameTab) error {
 	switch r.Kind {
 	case kindSweep:
-		var res Result
-		if err := json.Unmarshal(r.Data, &res); err != nil {
-			return err
+		res, ok := decodeResult(r.Data, names)
+		if !ok {
+			return fmt.Errorf("sweep payload is not an encoded Result")
 		}
-		c.putSweep(r.ID, r.Sub, res)
+		c.sweeps[sweepKey{r.ID, r.Sub}] = res
 	case kindProbe:
 		c.probes[r.ID] = r.Data
 	case kindOutput:
@@ -226,16 +230,6 @@ func (c *Checkpoint) apply(r recordlog.Record) error {
 		return fmt.Errorf("unknown record kind %q", r.Kind)
 	}
 	return nil
-}
-
-// putSweep stores one seed result in memory.
-func (c *Checkpoint) putSweep(fp, key string, res Result) {
-	sw := c.sweeps[fp]
-	if sw == nil {
-		sw = make(map[string]Result)
-		c.sweeps[fp] = sw
-	}
-	sw[key] = res
 }
 
 // appendLocked commits one new entry to the log; the caller stores it
@@ -277,7 +271,7 @@ func (c *Checkpoint) lookup(fp string, seed uint64) (Result, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.sweeps[fp][seedKey(seed)]
+	r, ok := c.sweeps[sweepKey{fp, seedKey(seed)}]
 	if ok {
 		c.stats.SweepHits++
 		obs.DedupHits.Inc()
@@ -296,20 +290,20 @@ func (c *Checkpoint) record(fp string, seed uint64, res Result) error {
 	if c == nil {
 		return nil
 	}
-	key := seedKey(seed)
+	key := sweepKey{fp, seedKey(seed)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.sweeps[fp][key]; ok {
+	if _, ok := c.sweeps[key]; ok {
 		return nil
 	}
 	data, err := json.Marshal(res)
 	if err != nil {
 		return fmt.Errorf("sim: marshal result: %w", err)
 	}
-	if err := c.appendLocked(kindSweep, fp, key, data); err != nil {
+	if err := c.appendLocked(kindSweep, fp, key.seed, data); err != nil {
 		return err
 	}
-	c.putSweep(fp, key, res)
+	c.sweeps[key] = res
 	return nil
 }
 
@@ -400,7 +394,7 @@ func (c *Checkpoint) Close() error {
 }
 
 // seedKey renders a seed as a stable JSON map key.
-func seedKey(seed uint64) string { return fmt.Sprintf("%#x", seed) }
+func seedKey(seed uint64) string { return "0x" + strconv.FormatUint(seed, 16) }
 
 // Fingerprint hashes the JSON encoding of the config (Factory is
 // excluded via its json:"-" tag; FactoryLabel stands in for it), the

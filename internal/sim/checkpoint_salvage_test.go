@@ -311,18 +311,16 @@ func FuzzCheckpointSalvage(f *testing.F) {
 		}
 		got.Close()
 		// No resurrection: anything that survived must be byte-faithful.
-		for sfp, sw := range got.sweeps {
-			if sfp != fp {
-				t.Fatalf("phantom sweep fingerprint %q appeared", sfp)
+		for key, res := range got.sweeps {
+			if key.fp != fp {
+				t.Fatalf("phantom sweep fingerprint %q appeared", key.fp)
 			}
-			for key, res := range sw {
-				var seed uint64
-				if _, err := fmt.Sscanf(key, "0x%x", &seed); err != nil {
-					t.Fatalf("phantom seed key %q", key)
-				}
-				if !reflect.DeepEqual(res, seedResult(seed)) {
-					t.Fatalf("seed %d survived with mutated payload: %+v", seed, res)
-				}
+			var seed uint64
+			if _, err := fmt.Sscanf(key.seed, "0x%x", &seed); err != nil {
+				t.Fatalf("phantom seed key %q", key.seed)
+			}
+			if !reflect.DeepEqual(res, seedResult(seed)) {
+				t.Fatalf("seed %d survived with mutated payload: %+v", seed, res)
 			}
 		}
 		for pfp, raw := range got.probes {

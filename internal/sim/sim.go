@@ -526,8 +526,12 @@ func (src *source) drive(ctx context.Context, envs []*runEnv) error {
 		}
 		n := min(blockLen, total-base)
 		src.st.fill(blk, n)
+		metrics := obs.MetricsEnabled()
 		for _, e := range envs {
 			e.serve(blk, base, n)
+			if metrics {
+				e.flushAccesses()
+			}
 		}
 	}
 	for _, e := range envs {
@@ -612,8 +616,8 @@ func (e *runEnv) collect() Result {
 		// are high-water marks across every device this process ran.
 		var acts uint64
 		var stateBytes, touched int
+		e.flushAccesses()
 		for _, l := range e.lanes {
-			l.FlushMetrics()
 			acts += l.Device().Stats().Activates
 			stateBytes += l.Device().StateBytes()
 			touched += l.Device().TouchedRows()
@@ -623,6 +627,19 @@ func (e *runEnv) collect() Result {
 		obs.TouchedRows.SetMax(int64(touched))
 	}
 	return res
+}
+
+// flushAccesses adds the accesses the member's lanes serviced since the
+// last flush to the access metric: one atomic add per member per block,
+// and once more at collect so the total stays exact.
+func (e *runEnv) flushAccesses() {
+	var d uint64
+	for _, l := range e.lanes {
+		d += l.TakeAccesses()
+	}
+	if d != 0 {
+		obs.Accesses.Add(d)
+	}
 }
 
 func techniqueName(m mitigation.Mitigator) string {
