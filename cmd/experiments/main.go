@@ -69,9 +69,9 @@
 //	-paper            use the full Table I scale (slow) for the simulations
 //	-csv              also print Fig. 4 as CSV
 //	-svg PATH         also write Fig. 4 as an SVG file
-//	-checkpoint PATH  persist per-seed and per-probe results (and finished
-//	                  sections) to an append-only JSONL checkpoint; a
-//	                  killed run re-uses them on restart
+//	-checkpoint PATH  persist per-seed and per-probe results to an
+//	                  append-only JSONL checkpoint; a killed run re-uses
+//	                  them on restart
 //	-geometry RxGxBxROWS
 //	                  override the device geometry as
 //	                  ranks x bank-groups x banks x rows-per-bank
@@ -80,8 +80,9 @@
 //	-allow-single-cpu bench/scale: run on a single-CPU host anyway,
 //	                  recording timings with speedup_claimed=false instead
 //	                  of refusing
-//	-resume           with -checkpoint: also replay fully finished sections
-//	                  from the checkpoint instead of recomputing them
+//	-resume           with -checkpoint: finish a killed run; every section
+//	                  is re-rendered from the checkpointed results, and
+//	                  nothing already on disk is simulated again
 //	-workers N        bound the campaign's concurrent simulations (default
 //	                  GOMAXPROCS)
 //	-timeout D        per-run deadline for one simulation (0 = none)
@@ -143,8 +144,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -180,7 +179,7 @@ var (
 	csvOut    = flag.Bool("csv", false, "print Fig. 4 as CSV too")
 	svgOut    = flag.String("svg", "", "also write Fig. 4 as an SVG file at this path")
 	ckptPath  = flag.String("checkpoint", "", "JSON checkpoint path for resumable campaigns")
-	resume    = flag.Bool("resume", false, "with -checkpoint: replay finished sections from the checkpoint")
+	resume    = flag.Bool("resume", false, "with -checkpoint: finish a killed run, re-rendering every section from the checkpoint")
 	geomF     = flag.String("geometry", "", "device geometry ranks x groups x banks x rows, e.g. 1x8x4x65536")
 	allow1cpu = flag.Bool("allow-single-cpu", false, "bench/scale: record timings on a single-CPU host with speedup_claimed=false")
 	workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
@@ -215,7 +214,6 @@ type app struct {
 	ev          campaign.Eval
 	csv         bool
 	svgPath     string
-	resume      bool
 	workers     int
 	retryBudget int
 	runner      *sim.Runner
@@ -246,28 +244,15 @@ func sectionNames() []string {
 // worker bound — then renders each section in order from the result
 // set, so the bytes match a serial run exactly.
 func (a *app) runSections(ctx context.Context, names []string) error {
-	type pending struct {
-		def    report.SectionDef
-		replay string // non-empty: cached output to replay verbatim
-	}
-	ck := a.runner.Checkpoint
-	var sections []pending
+	var sections []report.SectionDef
 	var specs []campaign.Spec
 	for _, name := range names {
 		def, ok := report.Section(name)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q", name)
 		}
-		p := pending{def: def}
-		if a.resume {
-			if text, ok := ck.Output(a.outputKey(name)); ok {
-				p.replay = text
-				sections = append(sections, p)
-				continue
-			}
-		}
 		specs = append(specs, def.Spec(a.ev))
-		sections = append(sections, p)
+		sections = append(sections, def)
 	}
 
 	merged := campaign.Merge("evaluation", specs...)
@@ -283,19 +268,13 @@ func (a *app) runSections(ctx context.Context, names []string) error {
 
 	rc := &report.Context{Eval: a.ev, Results: rs, CSV: a.csv, SVGPath: a.svgPath}
 	var degraded []string
-	for i, p := range sections {
-		if p.replay != "" {
-			if _, err := io.WriteString(a.stdout, p.replay); err != nil {
-				return err
-			}
-		} else {
-			skipped, err := a.renderSection(p.def, rc)
-			if err != nil {
-				return err
-			}
-			if skipped {
-				degraded = append(degraded, p.def.Name)
-			}
+	for i, def := range sections {
+		skipped, err := a.renderSection(def, rc)
+		if err != nil {
+			return err
+		}
+		if skipped {
+			degraded = append(degraded, def.Name)
 		}
 		if len(sections) > 1 || i < len(sections)-1 {
 			fmt.Fprintln(a.stdout)
@@ -322,16 +301,10 @@ func (a *app) runSections(ctx context.Context, names []string) error {
 	return nil
 }
 
-// renderSection renders one section with output-level checkpointing:
-// when a checkpoint is armed the rendered bytes are stored, and a later
-// -resume replays them verbatim — byte-identical tables without
-// recomputation. Failed sections are not cached; their cells still are,
-// via the campaign's checkpoint, so the retry is cheap.
-//
-// A section whose cells were parked by the campaign's circuit breaker
-// (campaign.ErrCellSkipped) renders as a one-line placeholder and
-// reports skipped=true instead of failing, so one bad section degrades
-// the report rather than truncating it.
+// renderSection renders one section. A section whose cells were parked
+// by the campaign's circuit breaker (campaign.ErrCellSkipped) renders as
+// a one-line placeholder and reports skipped=true instead of failing, so
+// one bad section degrades the report rather than truncating it.
 func (a *app) renderSection(def report.SectionDef, rc *report.Context) (skipped bool, err error) {
 	var buf bytes.Buffer
 	if err := def.Render(&buf, rc); err != nil {
@@ -341,29 +314,8 @@ func (a *app) renderSection(def report.SectionDef, rc *report.Context) (skipped 
 		}
 		return false, err
 	}
-	if _, err := a.stdout.Write(buf.Bytes()); err != nil {
-		return false, err
-	}
-	if ck := a.runner.Checkpoint; ck != nil {
-		return false, ck.PutOutput(a.outputKey(def.Name), buf.String())
-	}
-	return false, nil
-}
-
-// outputKey names a section's cached output: the section name plus a
-// fingerprint of the knobs its bytes depend on (the Eval and -csv), so
-// a -resume under different knobs (say, more -seeds) re-renders instead
-// of replaying a stale section. Entries cached under a bare section
-// name never match.
-func (a *app) outputKey(name string) string {
-	// Eval holds only plain data (sim.Config's Factory is json:"-"), so
-	// encoding cannot fail.
-	raw, _ := json.Marshal(struct {
-		Eval campaign.Eval
-		CSV  bool
-	}{a.ev, a.csv})
-	h := sha256.Sum256(raw)
-	return name + "@" + hex.EncodeToString(h[:8])
+	_, err = a.stdout.Write(buf.Bytes())
+	return false, err
 }
 
 // onProgress returns the campaign progress sink (nil when -progress is
@@ -507,7 +459,6 @@ func (a *app) bench(ctx context.Context, path string) error {
 		b.stdout = &buf
 		b.workers = workers
 		b.runner = &sim.Runner{Config: a.runner.Config} // no checkpoint
-		b.resume = false
 		start := time.Now()
 		err := b.runSections(ctx, names)
 		return buf.String(), time.Since(start), err
@@ -780,7 +731,6 @@ func main() {
 		ev:              ev,
 		csv:             *csvOut,
 		svgPath:         *svgOut,
-		resume:          *resume,
 		workers:         *workers,
 		retryBudget:     *retryBudg,
 		runner:          runner,

@@ -333,4 +333,10 @@ func (c *CaPRoMi) ActCycles() int { return c.cfg.CounterEntries/2 + 18 }
 // matching Table II.
 func (c *CaPRoMi) RefCycles() int { return 4*c.cfg.CounterEntries + 2 }
 
-func init() { mitigation.Register("CaPRoMi", CaFactory) }
+// CaTableBytes implements mitigation.Sizer for CaFactory: the history
+// and counter tables of DefaultCaConfig.
+func CaTableBytes(t mitigation.Target) int {
+	return DefaultCaConfig(t.RowsPerBank, t.RefInt).TotalBytes()
+}
+
+func init() { mitigation.Register("CaPRoMi", CaFactory, CaTableBytes) }

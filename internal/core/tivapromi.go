@@ -393,9 +393,15 @@ func QuaFactory(t mitigation.Target, seed uint64) mitigation.Mitigator {
 	return MustNew(QuaPRoMi, t.Banks, DefaultConfig(t.RowsPerBank, t.RefInt), seed)
 }
 
+// TableBytes implements mitigation.Sizer for the variants' factories:
+// the history table of DefaultConfig.
+func TableBytes(t mitigation.Target) int {
+	return DefaultConfig(t.RowsPerBank, t.RefInt).HistoryBytes()
+}
+
 func init() {
-	mitigation.Register("LiPRoMi", LiFactory)
-	mitigation.Register("LoPRoMi", LoFactory)
-	mitigation.Register("LoLiPRoMi", LoLiFactory)
-	mitigation.Register("QuaPRoMi", QuaFactory)
+	mitigation.Register("LiPRoMi", LiFactory, TableBytes)
+	mitigation.Register("LoPRoMi", LoFactory, TableBytes)
+	mitigation.Register("LoLiPRoMi", LoLiFactory, TableBytes)
+	mitigation.Register("QuaPRoMi", QuaFactory, TableBytes)
 }

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,10 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.RefInt = 0 },
 		func(p *Params) { p.RowsPerBank = 100 }, // not a multiple of RefInt
 		func(p *Params) { p.FlipThreshold = 0 },
+		func(p *Params) { p.TRCNs = math.Inf(1) },
+		func(p *Params) { p.TRefIntNs = math.NaN() },
+		func(p *Params) { p.TRFCNs = math.Inf(-1) },
+		func(p *Params) { p.IOFreqGHz = math.NaN() },
 	}
 	for i, mutate := range cases {
 		p := testParams()

@@ -10,7 +10,10 @@
 // experimentally established 139 K of Kim et al. [12] used by the paper.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Params describes the simulated device. The zero value is not usable;
 // start from PaperParams, ScaledParams or FullDIMMParams and adjust.
@@ -198,6 +201,14 @@ func (p Params) Validate() error {
 			p.RowsPerBank, p.RefInt)
 	case p.FlipThreshold == 0:
 		return fmt.Errorf("dram: FlipThreshold must be positive")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"TRCNs", p.TRCNs}, {"TRefIntNs", p.TRefIntNs}, {"TRFCNs", p.TRFCNs}, {"IOFreqGHz", p.IOFreqGHz}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("dram: %s = %v, must be finite", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"tivapromi/internal/dram"
 	"tivapromi/internal/memctrl"
@@ -123,7 +124,7 @@ func (p Plan) Active() bool { return p.Model != None && p.Rate > 0 }
 
 // Validate reports malformed plans.
 func (p Plan) Validate() error {
-	if p.Rate < 0 || p.Rate > 1 {
+	if math.IsNaN(p.Rate) || p.Rate < 0 || p.Rate > 1 {
 		return fmt.Errorf("faults: rate %v out of [0,1]", p.Rate)
 	}
 	if _, err := ParseModel(p.Model.String()); err != nil {

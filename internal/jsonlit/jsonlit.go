@@ -3,7 +3,9 @@
 // It uses no reflection and allocates only to unescape a string. It is
 // the lexer under the record log's strict line scan and the
 // checkpoint's sweep-payload decoder, which read the exact layouts
-// encoding/json writes.
+// encoding/json writes. AppendString and AppendFloat go the other way:
+// they write string and float64 literals byte for byte as
+// encoding/json's Encoder does, for the checkpoint key encoder.
 package jsonlit
 
 import (
@@ -205,4 +207,78 @@ func Float(b []byte) (v float64, n int, ok bool) {
 	}
 	v, err := strconv.ParseFloat(string(b[:n]), 64)
 	return v, n, err == nil
+}
+
+// AppendString appends s as a JSON string literal, exactly as
+// encoding/json's Encoder writes it with its default HTML escaping:
+// '"' and '\\' escaped, \b \f \n \r \t short forms, other control
+// bytes and '<', '>', '&' as \u00XX, U+2028 and U+2029 as \u202X, and
+// each invalid UTF-8 byte as \ufffd.
+func AppendString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that round-trips, in exponent form (with a one-digit negative
+// exponent unpadded) below 1e-6 and from 1e21 on, and -0 as "-0".
+// encoding/json refuses NaN and the infinities; AppendFloat writes
+// strconv's "NaN", "+Inf" and "-Inf" for them, which no JSON number
+// equals.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }

@@ -1,8 +1,11 @@
 package jsonlit
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -62,6 +65,39 @@ func TestNumbersAgreeWithEncodingJSON(t *testing.T) {
 		same := f == wf && math.Signbit(f) == math.Signbit(wf)
 		if (ok && n == len(lit)) != (errF == nil) || errF == nil && !same {
 			t.Errorf("Float(%s) = %g, %d, %v; encoding/json %g, %v", lit, f, n, ok, wf, errF)
+		}
+	}
+}
+
+// TestAppendAgreesWithEncodingJSON: AppendString and AppendFloat write
+// exactly what encoding/json's Encoder writes for the same value.
+func TestAppendAgreesWithEncodingJSON(t *testing.T) {
+	encode := func(v any) string {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSuffix(buf.String(), "\n")
+	}
+	for _, s := range []string{
+		"", "plain", "é漢字😀", `a"b\c/d`, "\b\f\n\r\t\x00\x1f\x7f", "<&>", "  ",
+		"\xff", "a\xc3", "\xed\xa0\x80", "x\xf0\x9f\x98",
+	} {
+		if got, want := string(AppendString(nil, s)), encode(s); got != want {
+			t.Errorf("AppendString(%q) = %s, encoding/json %s", s, got, want)
+		}
+	}
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.65, 1.2, 45, 7800, 1e-6, 9.999999e-7, 1e-7, 2.5e-10,
+		1e20, 1e21, -1e21, 123456789.125, 5e-324, math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3,
+	} {
+		if got, want := string(AppendFloat(nil, f)), encode(f); got != want {
+			t.Errorf("AppendFloat(%v) = %s, encoding/json %s", f, got, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got := string(AppendFloat(nil, f)); got != strconv.FormatFloat(f, 'f', -1, 64) {
+			t.Errorf("AppendFloat(%v) = %s, want strconv's spelling", f, got)
 		}
 	}
 }

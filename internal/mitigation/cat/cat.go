@@ -196,12 +196,20 @@ func (c *CAT) Reset() {
 	c.Saturations = 0
 }
 
-// TableBytesPerBank implements mitigation.Mitigator: MaxNodes of counter
-// plus two child indices.
-func (c *CAT) TableBytesPerBank() int {
-	cntBits := bitsFor(c.cfg.TriggerThreshold)
-	idxBits := bitsFor(uint32(c.cfg.MaxNodes))
-	return c.cfg.MaxNodes * (cntBits + 2*idxBits) / 8
+// TableBytesPerBank implements mitigation.Mitigator.
+func (c *CAT) TableBytesPerBank() int { return c.cfg.TableBytes() }
+
+// TableBytes returns the per-bank storage of a tree with this
+// configuration: MaxNodes of counter plus two child indices.
+func (c Config) TableBytes() int {
+	cntBits := mitigation.FieldBits(c.TriggerThreshold)
+	idxBits := mitigation.FieldBits(uint32(c.MaxNodes))
+	return c.MaxNodes * (cntBits + 2*idxBits) / 8
+}
+
+// TableBytes implements mitigation.Sizer for Factory's configuration.
+func TableBytes(t mitigation.Target) int {
+	return DefaultConfig(t.RowsPerBank, t.FlipThreshold).TableBytes()
 }
 
 // EscalatesUnderAttack implements mitigation.Escalation: counting
@@ -223,15 +231,4 @@ func (c *CAT) RefCycles() int { return 1 }
 // Nodes returns the current node count of a bank's tree.
 func (c *CAT) Nodes(bank int) int { return len(c.banks[bank]) }
 
-func bitsFor(v uint32) int {
-	n := 0
-	for x := v; x > 0; x >>= 1 {
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-func init() { mitigation.Register("CAT", Factory) }
+func init() { mitigation.Register("CAT", Factory, TableBytes) }

@@ -26,7 +26,7 @@ type CRA struct {
 // New returns a CRA instance. thRH is the per-row activation threshold
 // (canonically FlipThreshold/4, as for TWiCe).
 func New(banks, rowsPerBank int, thRH uint32) *CRA {
-	c := &CRA{thRH: thRH, rowsPB: rowsPerBank, cntBits: bitsFor(thRH)}
+	c := &CRA{thRH: thRH, rowsPB: rowsPerBank, cntBits: mitigation.FieldBits(thRH)}
 	c.counters = make([][]uint32, banks)
 	for b := range c.counters {
 		c.counters[b] = make([]uint32, rowsPerBank)
@@ -38,6 +38,15 @@ func New(banks, rowsPerBank int, thRH uint32) *CRA {
 // threshold from the target's flip threshold.
 func Factory(t mitigation.Target, _ uint64) mitigation.Mitigator {
 	return New(t.Banks, t.RowsPerBank, t.FlipThreshold/4)
+}
+
+// TableBytes implements mitigation.Sizer for Factory's counters.
+func TableBytes(t mitigation.Target) int { return counterBytes(t.RowsPerBank, t.FlipThreshold/4) }
+
+// counterBytes returns the per-bank storage of one thRH-wide counter per
+// row.
+func counterBytes(rowsPerBank int, thRH uint32) int {
+	return rowsPerBank * mitigation.FieldBits(thRH) / 8
 }
 
 // Name implements mitigation.Mitigator.
@@ -74,7 +83,7 @@ func (c *CRA) OnNewWindow() {
 func (c *CRA) Reset() { c.OnNewWindow() }
 
 // TableBytesPerBank implements mitigation.Mitigator: one counter per row.
-func (c *CRA) TableBytesPerBank() int { return c.rowsPB * c.cntBits / 8 }
+func (c *CRA) TableBytesPerBank() int { return counterBytes(c.rowsPB, c.thRH) }
 
 // EscalatesUnderAttack implements mitigation.Escalation: counting is
 // deterministic escalation.
@@ -99,15 +108,4 @@ func (c *CRA) ActCycles() int { return 2 }
 // RefCycles implements mitigation.CycleModel.
 func (c *CRA) RefCycles() int { return 1 }
 
-func bitsFor(v uint32) int {
-	n := 0
-	for x := v; x > 0; x >>= 1 {
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-func init() { mitigation.Register("CRA", Factory) }
+func init() { mitigation.Register("CRA", Factory, TableBytes) }

@@ -15,6 +15,7 @@ package mitigation
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"tivapromi/internal/rng"
@@ -85,6 +86,11 @@ type Mitigator interface {
 	TableBytesPerBank() int
 }
 
+// FieldBits returns the width of a hardware field holding values up to
+// v: v's bit length, at least 1. Counter-based techniques size their
+// tables with it.
+func FieldBits(v uint32) int { return max(bits.Len32(v), 1) }
+
 // Escalation is implemented by every technique to report whether its
 // per-victim protection intensifies as an attack proceeds. Counter-based
 // techniques escalate to a deterministic trigger, ProHit promotes tracked
@@ -150,24 +156,50 @@ type Target struct {
 // mitigation's internal PRNG.
 type Factory func(t Target, seed uint64) Mitigator
 
-var registry = map[string]Factory{}
+// Sizer returns, in closed form, the per-bank table bytes of the
+// Mitigator its technique's Factory builds for t: the design's storage,
+// known without building (and allocating) any state.
+type Sizer func(t Target) int
 
-// Register adds a named factory. It panics on duplicates; registration
-// happens at init time and a collision is a programming error.
-func Register(name string, f Factory) {
+type technique struct {
+	factory Factory
+	size    Sizer
+}
+
+var registry = map[string]technique{}
+
+// Register adds a named factory with its sizer. It panics on duplicates;
+// registration happens at init time and a collision is a programming
+// error.
+func Register(name string, f Factory, size Sizer) {
 	if _, dup := registry[name]; dup {
 		panic(fmt.Sprintf("mitigation: duplicate registration of %q", name))
 	}
-	registry[name] = f
+	registry[name] = technique{f, size}
 }
 
 // Lookup returns the factory for name, or an error listing the known names.
 func Lookup(name string) (Factory, error) {
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("mitigation: unknown technique %q (known: %v)", name, Names())
+	t, err := lookup(name)
+	return t.factory, err
+}
+
+// TableBytes returns the per-bank table bytes of technique name on t,
+// from its registered Sizer.
+func TableBytes(name string, t Target) (int, error) {
+	tech, err := lookup(name)
+	if err != nil {
+		return 0, err
 	}
-	return f, nil
+	return tech.size(t), nil
+}
+
+func lookup(name string) (technique, error) {
+	t, ok := registry[name]
+	if !ok {
+		return technique{}, fmt.Errorf("mitigation: unknown technique %q (known: %v)", name, Names())
+	}
+	return t, nil
 }
 
 // Names returns the registered technique names, sorted.

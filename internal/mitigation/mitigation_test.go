@@ -21,9 +21,13 @@ func TestCommandKindString(t *testing.T) {
 
 func TestRegistryLifecycle(t *testing.T) {
 	fake := func(Target, uint64) Mitigator { return nil }
-	Register("test-technique", fake)
+	size := func(t Target) int { return t.RowsPerBank }
+	Register("test-technique", fake, size)
 	if _, err := Lookup("test-technique"); err != nil {
 		t.Fatal(err)
+	}
+	if b, err := TableBytes("test-technique", Target{RowsPerBank: 7}); err != nil || b != 7 {
+		t.Fatalf("TableBytes = %d, %v; want the registered sizer's 7", b, err)
 	}
 	found := false
 	for _, n := range Names() {
@@ -39,7 +43,7 @@ func TestRegistryLifecycle(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register("test-technique", fake)
+	Register("test-technique", fake, size)
 }
 
 func TestLookupUnknownListsKnown(t *testing.T) {
@@ -49,6 +53,9 @@ func TestLookupUnknownListsKnown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "known:") {
 		t.Fatalf("error does not list known techniques: %v", err)
+	}
+	if _, err := TableBytes("definitely-not-registered", Target{}); err == nil {
+		t.Fatal("unknown technique sized")
 	}
 }
 

@@ -69,6 +69,11 @@ func New(banks int, cfg Config, seed uint64) *MRLoc {
 // Factory adapts New to the registry signature, scaling the probability
 // resolution with RefInt like the other probabilistic techniques.
 func Factory(t mitigation.Target, seed uint64) mitigation.Mitigator {
+	return New(t.Banks, targetConfig(t), seed)
+}
+
+// targetConfig is the configuration Factory builds for t.
+func targetConfig(t mitigation.Target) Config {
 	cfg := DefaultConfig(t.RowsPerBank)
 	bits := uint(10)
 	for v := t.RefInt; v > 1; v >>= 1 {
@@ -77,7 +82,7 @@ func Factory(t mitigation.Target, seed uint64) mitigation.Mitigator {
 	// Keep the effective probability constant: weight scales with 2^bits.
 	cfg.ProbBits = bits
 	cfg.BaseWeight = uint64(float64(uint64(1)<<bits) * 4608 / float64(uint64(1)<<23))
-	return New(t.Banks, cfg, seed)
+	return cfg
 }
 
 // Name implements mitigation.Mitigator.
@@ -131,9 +136,14 @@ func (m *MRLoc) Reset() {
 }
 
 // TableBytesPerBank implements mitigation.Mitigator.
-func (m *MRLoc) TableBytesPerBank() int {
-	return m.cfg.QueueSize * m.cfg.RowBits / 8
-}
+func (m *MRLoc) TableBytesPerBank() int { return m.cfg.TableBytes() }
+
+// TableBytes returns the per-bank storage of the victim queue: one row
+// address per slot.
+func (c Config) TableBytes() int { return c.QueueSize * c.RowBits / 8 }
+
+// TableBytes implements mitigation.Sizer for Factory's configuration.
+func TableBytes(t mitigation.Target) int { return targetConfig(t).TableBytes() }
 
 // EscalatesUnderAttack implements mitigation.Escalation: MRLoc's base
 // probability is static, and under a focused attack the short queue keeps
@@ -171,4 +181,4 @@ func (q *queue) remove(pos int) {
 	q.rows = q.rows[:len(q.rows)-1]
 }
 
-func init() { mitigation.Register("MRLoc", Factory) }
+func init() { mitigation.Register("MRLoc", Factory, TableBytes) }

@@ -112,8 +112,11 @@ func (p *PARA) SetRandSource(src rng.Source) {
 	p.rebuildBernoulli()
 }
 
-// TableBytesPerBank implements mitigation.Mitigator: PARA is stateless.
-func (p *PARA) TableBytesPerBank() int { return 0 }
+// TableBytesPerBank implements mitigation.Mitigator.
+func (p *PARA) TableBytesPerBank() int { return TableBytes(mitigation.Target{}) }
+
+// TableBytes implements mitigation.Sizer: PARA is stateless.
+func TableBytes(mitigation.Target) int { return 0 }
 
 // EscalatesUnderAttack implements mitigation.Escalation: PARA's
 // probability is static — the property behind its Table III
@@ -126,4 +129,4 @@ func (p *PARA) ActCycles() int { return 2 }
 // RefCycles implements mitigation.CycleModel: nothing to do.
 func (p *PARA) RefCycles() int { return 1 }
 
-func init() { mitigation.Register("PARA", Factory) }
+func init() { mitigation.Register("PARA", Factory, TableBytes) }

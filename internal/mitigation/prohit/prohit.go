@@ -158,9 +158,14 @@ func (p *ProHit) Reset() {
 }
 
 // TableBytesPerBank implements mitigation.Mitigator.
-func (p *ProHit) TableBytesPerBank() int {
-	return (p.cfg.HotEntries + p.cfg.ColdEntries) * p.cfg.RowBits / 8
-}
+func (p *ProHit) TableBytesPerBank() int { return p.cfg.TableBytes() }
+
+// TableBytes returns the per-bank storage of the hot and cold tables:
+// one row address per entry.
+func (c Config) TableBytes() int { return (c.HotEntries + c.ColdEntries) * c.RowBits / 8 }
+
+// TableBytes implements mitigation.Sizer for Factory's configuration.
+func TableBytes(t mitigation.Target) int { return DefaultConfig(t.RowsPerBank).TableBytes() }
 
 // EscalatesUnderAttack implements mitigation.Escalation: sustained
 // hammering promotes the victim to the hot table's top, where the refresh
@@ -196,4 +201,4 @@ func insertFIFO(s []int32, v int32, max int) []int32 {
 	return append(s, v)
 }
 
-func init() { mitigation.Register("ProHit", Factory) }
+func init() { mitigation.Register("ProHit", Factory, TableBytes) }

@@ -143,9 +143,14 @@ func (t *TRR) Reset() {
 }
 
 // TableBytesPerBank implements mitigation.Mitigator.
-func (t *TRR) TableBytesPerBank() int {
-	return t.cfg.Entries * (t.cfg.RowBits + 16) / 8
-}
+func (t *TRR) TableBytesPerBank() int { return t.cfg.TableBytes() }
+
+// TableBytes returns the per-bank storage of the sampler: a row address
+// and a 16-bit count per slot.
+func (c Config) TableBytes() int { return c.Entries * (c.RowBits + 16) / 8 }
+
+// TableBytes implements mitigation.Sizer for Factory's configuration.
+func TableBytes(mitigation.Target) int { return DefaultConfig().TableBytes() }
 
 // EscalatesUnderAttack implements mitigation.Escalation: the frequency
 // counts escalate — but only for rows that survive in the tiny sampler,
@@ -167,4 +172,4 @@ func (t *TRR) Tracked(bank int) []int {
 	return rows
 }
 
-func init() { mitigation.Register("TRR", Factory) }
+func init() { mitigation.Register("TRR", Factory, TableBytes) }

@@ -179,12 +179,21 @@ func (t *TWiCe) Reset() {
 	t.Overflows = 0
 }
 
-// TableBytesPerBank implements mitigation.Mitigator: MaxEntries CAM+count
-// entries (row address, activation count, lifetime, valid bit).
-func (t *TWiCe) TableBytesPerBank() int {
-	cntBits := bitsFor(t.cfg.ThRH)
-	lifeBits := bitsFor(uint32(t.cfg.RefInt))
-	return t.cfg.MaxEntries * (t.cfg.RowBits + cntBits + lifeBits + 1) / 8
+// TableBytesPerBank implements mitigation.Mitigator.
+func (t *TWiCe) TableBytesPerBank() int { return t.cfg.TableBytes() }
+
+// TableBytes returns the per-bank storage of a table with this
+// configuration: MaxEntries CAM+count entries (row address, activation
+// count, lifetime, valid bit).
+func (c Config) TableBytes() int {
+	cntBits := mitigation.FieldBits(c.ThRH)
+	lifeBits := mitigation.FieldBits(uint32(c.RefInt))
+	return c.MaxEntries * (c.RowBits + cntBits + lifeBits + 1) / 8
+}
+
+// TableBytes implements mitigation.Sizer for Factory's configuration.
+func TableBytes(t mitigation.Target) int {
+	return DefaultConfig(t.FlipThreshold, t.RefInt).TableBytes()
 }
 
 // ActCycles implements mitigation.CycleModel: a CAM lookup plus counter
@@ -218,9 +227,9 @@ func (t *TWiCe) InjectStateFault(src rng.Source) bool {
 		}
 		e := &tb.entries[rng.Intn(src, len(tb.entries))]
 		if rng.Intn(src, 2) == 0 {
-			e.cnt ^= 1 << rng.Intn(src, max(bitsFor(t.cfg.ThRH), 1))
+			e.cnt ^= 1 << rng.Intn(src, mitigation.FieldBits(t.cfg.ThRH))
 		} else {
-			e.life ^= 1 << rng.Intn(src, max(bitsFor(uint32(t.cfg.RefInt)), 1))
+			e.life ^= 1 << rng.Intn(src, mitigation.FieldBits(uint32(t.cfg.RefInt)))
 		}
 		return true
 	}
@@ -231,15 +240,4 @@ func (t *TWiCe) InjectStateFault(src rng.Source) bool {
 // deterministic escalation.
 func (t *TWiCe) EscalatesUnderAttack() bool { return true }
 
-func bitsFor(v uint32) int {
-	n := 0
-	for x := v; x > 0; x >>= 1 {
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
-
-func init() { mitigation.Register("TWiCe", Factory) }
+func init() { mitigation.Register("TWiCe", Factory, TableBytes) }

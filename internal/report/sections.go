@@ -67,26 +67,10 @@ func Section(name string) (SectionDef, bool) {
 	return SectionDef{}, false
 }
 
-// paperTarget describes one bank of the full-scale device to mitigation
-// factories for storage accounting (table sizes are reported at paper
-// scale no matter what scale the simulation ran at). Per-bank table
-// bytes do not depend on the bank count, so one bank sizes them without
-// building every bank's state.
-func paperTarget() mitigation.Target {
-	p := dram.PaperParams()
-	return mitigation.Target{
-		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
-		FlipThreshold: p.FlipThreshold,
-	}
-}
-
-func tableBytesAtPaperScale(technique string) (int, error) {
-	f, err := mitigation.Lookup(technique)
-	if err != nil {
-		return 0, err
-	}
-	return f(paperTarget(), 1).TableBytesPerBank(), nil
-}
+// paperTarget describes the full-scale device to the mitigation sizers:
+// table sizes are reported at paper scale no matter what scale the
+// simulation ran at.
+func paperTarget() mitigation.Target { return sim.Config{Params: dram.PaperParams()}.Target() }
 
 // value fetches a probe cell's result pointer with its concrete type.
 func value[T any](rc *Context, key string) (*T, error) {
@@ -227,7 +211,7 @@ func renderFig4(w io.Writer, rc *Context) error {
 		if err != nil {
 			return err
 		}
-		bytes, err := tableBytesAtPaperScale(name)
+		bytes, err := mitigation.TableBytes(name, paperTarget())
 		if err != nil {
 			return err
 		}
@@ -414,7 +398,7 @@ func renderExtensions(w io.Writer, rc *Context) error {
 		if err != nil {
 			return err
 		}
-		bytes, err := tableBytesAtPaperScale(name)
+		bytes, err := mitigation.TableBytes(name, paperTarget())
 		if err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,11 +217,19 @@ func TestTenantFairness(t *testing.T) {
 	a2 := jobID(t, doSubmit(t, hs.URL, "alpha", submitBody("table2")))
 	b1 := jobID(t, doSubmit(t, hs.URL, "beta", submitBody("table2")))
 
-	waitState(t, hs.URL, "beta", b1, StateRunning)
-	mu.Lock()
-	snapshot := append([]string(nil), started...)
-	mu.Unlock()
-	if len(snapshot) != 2 {
+	// A job is marked running before it reaches the run hook, so wait
+	// for the hook itself to have seen both tenants.
+	var snapshot []string
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		snapshot = append([]string(nil), started...)
+		mu.Unlock()
+		if len(snapshot) >= 2 || time.Now().After(deadline) {
+			break
+		}
+	}
+	slices.Sort(snapshot)
+	if !slices.Equal(snapshot, []string{"alpha", "beta"}) {
 		t.Fatalf("started jobs = %v, want alpha+beta running while alpha's backlog waits", snapshot)
 	}
 	if st := getStatus(t, hs.URL, "alpha", a2); st.State != StateQueued {

@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -16,16 +13,19 @@ import (
 
 // The checkpoint is a record schema on internal/recordlog: a header
 // naming the format and version, then one checksummed record per
-// completed sweep seed, probe cell or rendered section. Version 3 is the
-// append-only log; files of earlier versions are quarantined and their
-// runs re-simulated (there is no migration).
+// completed sweep seed or probe cell. Version 3 is the append-only log;
+// files of earlier versions are quarantined and their runs re-simulated
+// (there is no migration).
 const (
 	checkpointFormat  = "tivapromi-checkpoint"
 	checkpointVersion = 3
 
-	kindSweep  = "sweep"  // ID = run fingerprint, Sub = seed key
-	kindProbe  = "probe"  // ID = probe fingerprint
-	kindOutput = "output" // ID = section output key
+	kindSweep = "sweep" // ID = run fingerprint, Sub = seed key
+	kindProbe = "probe" // ID = probe fingerprint
+	// kindOutput records held a rendered section, which earlier releases
+	// replayed instead of rendering. The loader drops them: they are
+	// neither held nor damage.
+	kindOutput = "output"
 )
 
 // Typed load failures. LoadCheckpoint never fails the experiment for
@@ -75,8 +75,8 @@ func (r LoadReport) Note() string {
 	}
 }
 
-// Checkpoint is a durable store of completed per-seed results, rendered
-// section outputs and probe results, keyed by fingerprints. A hardened
+// Checkpoint is a durable store of completed per-seed results and probe
+// results, keyed by fingerprints. A hardened
 // sweep writes each seed's result through the checkpoint as it
 // completes; a re-run of the same sweep skips the seeds already on
 // disk. A nil *Checkpoint is a no-op store, so callers can thread one
@@ -84,8 +84,8 @@ func (r LoadReport) Note() string {
 //
 // The store is a recordlog.Log, so durability is defended in depth:
 //
-//   - each new entry is appended and fsynced before record, PutProbe or
-//     PutOutput returns, and an entry already held is never appended
+//   - each new entry is appended and fsynced before record or PutProbe
+//     returns, and an entry already held is never appended
 //     again (results are deterministic), so the bytes written grow with
 //     the entries held;
 //   - every entry carries a SHA-256 checksum binding identity to
@@ -101,12 +101,11 @@ func (r LoadReport) Note() string {
 // harness (internal/chaostest) can attack exactly this machinery.
 // A Checkpoint is safe for concurrent use by the worker pool.
 type Checkpoint struct {
-	mu      sync.Mutex
-	path    string
-	log     *recordlog.Log
-	sweeps  map[sweepKey]Result
-	probes  map[string]json.RawMessage
-	outputs map[string]string
+	mu     sync.Mutex
+	path   string
+	log    *recordlog.Log
+	sweeps map[sweepKey]Result
+	probes map[string]json.RawMessage
 	// report is what LoadCheckpoint found on disk.
 	report LoadReport
 	// stats counts cache traffic (see CacheStats).
@@ -124,8 +123,7 @@ type CacheStats struct {
 	// ProbeHits / ProbeMisses count probe-cell lookups.
 	ProbeHits   int64 `json:"probe_hits"`
 	ProbeMisses int64 `json:"probe_misses"`
-	// Entries is the number of entries currently held (seeds + probes +
-	// outputs).
+	// Entries is the number of entries currently held (seeds + probes).
 	Entries int `json:"entries"`
 }
 
@@ -152,7 +150,7 @@ type sweepKey struct{ fp, seed string }
 // entries counts every entry held. Requires c.mu held (or exclusive
 // access during load).
 func (c *Checkpoint) entries() int {
-	return len(c.sweeps) + len(c.outputs) + len(c.probes)
+	return len(c.sweeps) + len(c.probes)
 }
 
 // LoadCheckpoint opens or creates a checkpoint at path through the real
@@ -174,10 +172,9 @@ func LoadCheckpointFS(path string, fs iofault.FS) (*Checkpoint, error) {
 		return nil, fmt.Errorf("sim: empty checkpoint path")
 	}
 	c := &Checkpoint{
-		path:    path,
-		sweeps:  make(map[sweepKey]Result),
-		probes:  make(map[string]json.RawMessage),
-		outputs: make(map[string]string),
+		path:   path,
+		sweeps: make(map[sweepKey]Result),
+		probes: make(map[string]json.RawMessage),
 	}
 	names := make(nameTab)
 	log, rep, err := recordlog.Open(path, fs, checkpointFormat, checkpointVersion,
@@ -220,12 +217,7 @@ func (c *Checkpoint) apply(r recordlog.Record, names nameTab) error {
 		c.sweeps[sweepKey{r.ID, r.Sub}] = res
 	case kindProbe:
 		c.probes[r.ID] = r.Data
-	case kindOutput:
-		var text string
-		if err := json.Unmarshal(r.Data, &text); err != nil {
-			return err
-		}
-		c.outputs[r.ID] = text
+	case kindOutput: // written by earlier releases; dropped
 	default:
 		return fmt.Errorf("unknown record kind %q", r.Kind)
 	}
@@ -307,40 +299,6 @@ func (c *Checkpoint) record(fp string, seed uint64, res Result) error {
 	return nil
 }
 
-// Output returns the cached rendered text for a named experiment section.
-func (c *Checkpoint) Output(name string) (string, bool) {
-	if c == nil {
-		return "", false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	text, ok := c.outputs[name]
-	return text, ok
-}
-
-// PutOutput caches the rendered text of a named experiment section, so
-// a killed `experiments all` resumes past every section that finished
-// rendering.
-func (c *Checkpoint) PutOutput(name, text string) error {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.outputs[name]; ok {
-		return nil
-	}
-	data, err := json.Marshal(text)
-	if err != nil {
-		return fmt.Errorf("sim: marshal output: %w", err)
-	}
-	if err := c.appendLocked(kindOutput, name, "", data); err != nil {
-		return err
-	}
-	c.outputs[name] = text
-	return nil
-}
-
 // Probe returns the cached JSON encoding of a probe cell's result, keyed
 // by the cell fingerprint.
 func (c *Checkpoint) Probe(fp string) (json.RawMessage, bool) {
@@ -395,39 +353,6 @@ func (c *Checkpoint) Close() error {
 
 // seedKey renders a seed as a stable JSON map key.
 func seedKey(seed uint64) string { return "0x" + strconv.FormatUint(seed, 16) }
-
-// Fingerprint hashes the JSON encoding of the config (Factory is
-// excluded via its json:"-" tag; FactoryLabel stands in for it), the
-// technique name and the sorted seed set, so any change to the
-// experiment changes the key instead of silently reusing results.
-//
-// The checkpoint keys sweep results with seeds == nil: a per-seed Result
-// depends only on (config, technique, seed), and the seed is the entry's
-// second key, so sweeps over overlapping seed lists share their runs
-// (see NewSweep). The seed-list form identifies a whole sweep, for
-// callers that name one; checkpoints written when sweeps were keyed by
-// it miss once and re-simulate.
-func Fingerprint(cfg Config, technique string, seeds []uint64) string {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	// Encoding errors are impossible for these types; ignore them so the
-	// fingerprint is infallible at call sites.
-	_ = enc.Encode(cfg)
-	_ = enc.Encode(technique)
-	sorted := append([]uint64(nil), seeds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	_ = enc.Encode(sorted)
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// ProbeFingerprint derives the checkpoint key for one probe cell from
-// its stable cell key. The key must encode every parameter the probe's
-// result depends on (device scale, seeds, trial counts); the campaign
-// layer's key builders guarantee that.
-func ProbeFingerprint(key string) string {
-	h := sha256.Sum256([]byte("probe\x00" + key))
-	return hex.EncodeToString(h[:16])
-}
 
 // Runner bundles the hardened pool configuration with an optional
 // checkpoint. It is the front door for experiment drivers: construct one

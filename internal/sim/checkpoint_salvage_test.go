@@ -20,7 +20,7 @@ func seedResult(seed uint64) Result {
 }
 
 // writeSweepCheckpoint creates a checkpoint at path holding seeds
-// 1..n under fingerprint fp plus one output and one probe entry.
+// 1..n under fingerprint fp plus one probe entry.
 func writeSweepCheckpoint(t *testing.T, path, fp string, n int) {
 	t.Helper()
 	ck, err := LoadCheckpoint(path)
@@ -33,9 +33,6 @@ func writeSweepCheckpoint(t *testing.T, path, fp string, n int) {
 		}
 	}
 	if err := ck.PutProbe("probefp", map[string]int{"v": 7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.PutOutput("sect", "rendered"); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Close(); err != nil {
@@ -65,9 +62,9 @@ func TestCheckpointHeaderLine(t *testing.T) {
 	if !bytes.Contains(lines[0], []byte(checkpointFormat)) {
 		t.Fatalf("first line is not the format header: %s", lines[0])
 	}
-	// Header + 2 seeds + probe + output.
-	if len(lines) != 5 || !bytes.Contains(lines[len(lines)-1], []byte(`"k":"output"`)) {
-		t.Fatalf("want header and 4 records, the output last; got:\n%s", raw)
+	// Header + 2 seeds + probe.
+	if len(lines) != 4 || !bytes.Contains(lines[len(lines)-1], []byte(`"k":"probe"`)) {
+		t.Fatalf("want header and 3 records, the probe last; got:\n%s", raw)
 	}
 }
 
@@ -113,9 +110,9 @@ func TestCheckpointSalvageDropsOnlyCorruptEntry(t *testing.T) {
 	if rep.Dropped != 1 {
 		t.Fatalf("dropped %d entries, want 1", rep.Dropped)
 	}
-	// 2 intact seeds + probe + output survive.
-	if rep.Entries != 4 {
-		t.Fatalf("salvaged %d entries, want 4", rep.Entries)
+	// 2 intact seeds + probe survive.
+	if rep.Entries != 3 {
+		t.Fatalf("salvaged %d entries, want 3", rep.Entries)
 	}
 	if rep.Quarantined == "" {
 		t.Fatal("damaged original was not quarantined")
@@ -140,8 +137,8 @@ func TestCheckpointSalvageDropsOnlyCorruptEntry(t *testing.T) {
 			t.Fatalf("seed %d: lookup = %+v, %v; want intact original", s, got, ok)
 		}
 	}
-	if text, ok := ck.Output("sect"); !ok || text != "rendered" {
-		t.Fatalf("output entry lost in salvage: %q, %v", text, ok)
+	if _, ok := ck.probes["probefp"]; !ok {
+		t.Fatal("probe entry lost in salvage")
 	}
 
 	// A sweep over all three seeds re-runs only the dropped one.
@@ -272,9 +269,6 @@ func FuzzCheckpointSalvage(f *testing.F) {
 	if err := ck.PutProbe("pfp", map[string]int{"v": 7}); err != nil {
 		f.Fatal(err)
 	}
-	if err := ck.PutOutput("sect", "rendered"); err != nil {
-		f.Fatal(err)
-	}
 	probeRaw, _ := ck.Probe("pfp")
 	if err := ck.Close(); err != nil {
 		f.Fatal(err)
@@ -328,11 +322,6 @@ func FuzzCheckpointSalvage(f *testing.F) {
 				t.Fatalf("probe entry mutated: %q = %s", pfp, raw)
 			}
 		}
-		for name, out := range got.outputs {
-			if name != "sect" || out != "rendered" {
-				t.Fatalf("output entry mutated: %q = %q", name, out)
-			}
-		}
 		// The salvage was rewritten in place: it reloads clean, same entries.
 		again, err := LoadCheckpoint(path)
 		if err != nil {
@@ -342,8 +331,7 @@ func FuzzCheckpointSalvage(f *testing.F) {
 		if rep := again.LoadReport(); rep.Err != nil {
 			t.Fatalf("salvaged checkpoint reloads dirty: %+v", rep)
 		}
-		if !reflect.DeepEqual(again.sweeps, got.sweeps) || !reflect.DeepEqual(again.probes, got.probes) ||
-			!reflect.DeepEqual(again.outputs, got.outputs) {
+		if !reflect.DeepEqual(again.sweeps, got.sweeps) || !reflect.DeepEqual(again.probes, got.probes) {
 			t.Fatalf("salvaged checkpoint reloads to different entries")
 		}
 	})

@@ -34,14 +34,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := ck.record("fp", 0x42, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.PutOutput("table1", "rendered text"); err != nil {
-		t.Fatal(err)
-	}
 	if err := ck.PutProbe("probefp", map[string]string{"verdict": "<safe>"}); err != nil {
 		t.Fatal(err)
 	}
 
-	// A fresh load sees the result, the cached output and the probe.
+	// A fresh load sees the result and the probe.
 	ck2, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -49,9 +46,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	got, ok := ck2.lookup("fp", 0x42)
 	if !ok || !reflect.DeepEqual(got, res) {
 		t.Fatalf("lookup = %+v, %v; want %+v, true", got, ok, res)
-	}
-	if text, ok := ck2.Output("table1"); !ok || text != "rendered text" {
-		t.Fatalf("Output = %q, %v", text, ok)
 	}
 	if raw, ok := ck2.Probe("probefp"); !ok || string(raw) != `{"verdict":"\u003csafe\u003e"}` {
 		t.Fatalf("Probe = %s, %v", raw, ok)

@@ -135,8 +135,10 @@ func BenchmarkLoadCheckpoint(b *testing.B) {
 
 // TestLoadsFormatV3Fixture: a checkpoint written by the encoding/json
 // line parser's release of format version 3 (testdata/compat) loads
-// clean, with every record held and equal to what encoding/json reads
-// from the same line.
+// clean, with every sweep and probe record held and equal to what
+// encoding/json reads from the same line. Its rendered-section output
+// record is dropped: not held, not damage, and the file is left as it
+// is.
 func TestLoadsFormatV3Fixture(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "compat", "checkpoint-v3.jsonl"))
 	if err != nil {
@@ -152,9 +154,6 @@ func TestLoadsFormatV3Fixture(t *testing.T) {
 	}
 	ck.Close()
 	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")[1:]
-	if rep := ck.LoadReport(); rep.Err != nil || rep.Entries != len(lines) {
-		t.Fatalf("fixture loads as %+v, want %d clean entries", rep, len(lines))
-	}
 	kinds := map[string]int{}
 	for _, ln := range lines {
 		var rec struct {
@@ -178,18 +177,14 @@ func TestLoadsFormatV3Fixture(t *testing.T) {
 			if !bytes.Equal(ck.probes[rec.ID], rec.Data) {
 				t.Fatalf("probe %s holds %s, want %s", rec.ID, ck.probes[rec.ID], rec.Data)
 			}
-		case kindOutput:
-			var want string
-			if err := json.Unmarshal(rec.Data, &want); err != nil {
-				t.Fatal(err)
-			}
-			if ck.outputs[rec.ID] != want {
-				t.Fatalf("output %s differs", rec.ID)
-			}
 		}
 	}
 	if kinds[kindSweep] == 0 || kinds[kindProbe] == 0 || kinds[kindOutput] == 0 {
 		t.Fatalf("fixture lacks a record kind: %v", kinds)
+	}
+	want := kinds[kindSweep] + kinds[kindProbe]
+	if rep := ck.LoadReport(); rep.Err != nil || rep.Dropped != 0 || rep.Quarantined != "" || rep.Entries != want {
+		t.Fatalf("fixture loads as %+v, want %d clean entries", rep, want)
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
 		t.Fatal("a clean load rewrote the checkpoint")

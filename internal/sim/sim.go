@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 
 	"tivapromi/internal/bitset"
@@ -125,7 +126,7 @@ func (c Config) Validate() error {
 	switch {
 	case c.Windows <= 0:
 		return fmt.Errorf("sim: Windows = %d", c.Windows)
-	case c.AttackShare < 0 || c.AttackShare > 1:
+	case math.IsNaN(c.AttackShare) || c.AttackShare < 0 || c.AttackShare > 1:
 		return fmt.Errorf("sim: AttackShare = %v out of [0,1]", c.AttackShare)
 	case c.Policy < PolicyNeighbors || c.Policy > PolicyMaskedCounter:
 		return fmt.Errorf("sim: unknown policy %v", c.Policy)
