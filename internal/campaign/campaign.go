@@ -62,6 +62,11 @@ type Cell struct {
 // probe).
 func (c Cell) IsSweep() bool { return c.sweep }
 
+// member is a sweep cell as a member of a stream-sharing group.
+func (c Cell) member() sim.Member {
+	return sim.Member{Config: c.Config, Technique: c.Technique, Cell: c.Key}
+}
+
 // validate reports a structurally unusable cell.
 func (c Cell) validate() error {
 	if c.Key == "" {

@@ -424,25 +424,76 @@ type unit struct {
 }
 
 // planUnits splits cells into admission units in spec order: each probe
-// cell alone, and each sweep cell into the latest group with its stream
-// key and seed list, until that group holds sim.GroupCap members.
+// cell alone; each sweep cell that can ride an earlier cell of its group
+// (sim.RideOf; same stream key and seed list) into a unit with that host
+// and its other riders; and every other sweep cell into the latest group
+// with its stream key and seed list, until that group holds sim.GroupCap
+// members. A host's unit counts its mirrors toward sim.GroupCap, since
+// each holds per-row device state; certified riders hold none and do not
+// count. A mirror that finds its host full is planned like any other
+// cell.
 func planUnits(cells []Cell, rs *ResultSet) []*unit {
-	var units []*unit
-	open := make(map[groupKey]*unit)
-	for _, c := range cells {
-		cr := rs.results[c.Key]
+	groups := make(map[groupKey]int)
+	group := make([]int, len(cells)) // per sweep cell: its group's index
+	var hosts [][]int                // per group: its cells that ride nothing
+	riders := make([][]int, len(cells))
+	mirrors := make([]int, len(cells))
+	rides := make([]bool, len(cells))
+	for i := range cells {
+		c := &cells[i]
 		if !c.IsSweep() {
-			units = append(units, &unit{cells: []Cell{c}, crs: []*CellResult{cr}})
 			continue
 		}
-		key := groupKeyOf(c)
-		if u := open[key]; u != nil && len(u.cells) < sim.GroupCap {
-			u.cells = append(u.cells, c)
-			u.crs = append(u.crs, cr)
+		k := groupKeyOf(*c)
+		g, ok := groups[k]
+		if !ok {
+			g = len(hosts)
+			groups[k] = g
+			hosts = append(hosts, nil)
+		}
+		group[i] = g
+		for _, h := range hosts[g] {
+			if cells[h].Technique != c.Technique {
+				continue // sim.RideOf pairs equal techniques only
+			}
+			hm, m := cells[h].member(), c.member()
+			r := sim.RideOf(&hm, &m)
+			if r == sim.Mirror && mirrors[h]+1 < sim.GroupCap {
+				mirrors[h]++
+			} else if r != sim.Certified {
+				continue
+			}
+			riders[h] = append(riders[h], i)
+			rides[i] = true
+			break
+		}
+		if !rides[i] {
+			hosts[g] = append(hosts[g], i)
+		}
+	}
+	var units []*unit
+	open := make(map[int]*unit) // per group: its latest unit without riders
+	for i := range cells {
+		c := &cells[i]
+		if rides[i] {
+			continue // placed with its host
+		}
+		cr := rs.results[c.Key]
+		grouped := c.IsSweep() && len(riders[i]) == 0
+		if o := open[group[i]]; grouped && o != nil && len(o.cells) < sim.GroupCap {
+			o.cells = append(o.cells, *c)
+			o.crs = append(o.crs, cr)
 			continue
 		}
-		u := &unit{cells: []Cell{c}, crs: []*CellResult{cr}}
-		open[key] = u
+		n := 1 + len(riders[i])
+		u := &unit{cells: append(make([]Cell, 0, n), *c), crs: append(make([]*CellResult, 0, n), cr)}
+		for _, j := range riders[i] {
+			u.cells = append(u.cells, cells[j])
+			u.crs = append(u.crs, rs.results[cells[j].Key])
+		}
+		if grouped {
+			open[group[i]] = u
+		}
 		units = append(units, u)
 	}
 	return units
@@ -495,7 +546,7 @@ func (u *unit) prepare(r *sim.Runner) []int {
 	}
 	members := make([]sim.Member, len(u.cells))
 	for i, c := range u.cells {
-		members[i] = sim.Member{Config: c.Config, Technique: c.Technique, Cell: c.Key}
+		members[i] = c.member()
 	}
 	sw, err := r.NewSweep(members, c.Seeds)
 	if err != nil { // unreachable for validated cells

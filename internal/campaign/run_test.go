@@ -329,11 +329,9 @@ func TestCellSecondsFitThePool(t *testing.T) {
 	}
 }
 
-// TestPlanUnitsMatchesDeepEqualGrouping: on the merged evaluation,
-// planUnits' comparable group key forms exactly the units that grouping
-// by reflect.DeepEqual of stream keys and seed lists forms — the test
-// sim.RunGroup applies to its members.
-func TestPlanUnitsMatchesDeepEqualGrouping(t *testing.T) {
+// evaluationCells returns the merged cells of `experiments all` at its
+// defaults.
+func evaluationCells() []Cell {
 	ev := DefaultEval()
 	var specs []Spec
 	for _, b := range []func(Eval) Spec{
@@ -343,13 +341,52 @@ func TestPlanUnitsMatchesDeepEqualGrouping(t *testing.T) {
 	} {
 		specs = append(specs, b(ev))
 	}
-	cells := Merge("evaluation", specs...).Cells
+	return Merge("evaluation", specs...).Cells
+}
+
+// planKeys plans cells and returns each unit's cell keys.
+func planKeys(cells []Cell) [][]string {
+	rs := &ResultSet{results: map[string]*CellResult{}}
+	var got [][]string
+	for _, u := range planUnits(cells, rs) {
+		var keys []string
+		for _, c := range u.cells {
+			keys = append(keys, c.Key)
+		}
+		got = append(got, keys)
+	}
+	return got
+}
+
+// TestPlanUnitsMatchesDeepEqualGrouping: on the merged evaluation,
+// planUnits' comparable group key forms exactly the units that grouping
+// by reflect.DeepEqual of stream keys and seed lists forms — the test
+// sim.RunGroup applies to its members. A host and its riders form a unit
+// of their own (TestPlanUnitsSeatsRiders); the reference groups the
+// other cells, so every unit without riders is planned as before riders.
+func TestPlanUnitsMatchesDeepEqualGrouping(t *testing.T) {
+	cells := evaluationCells()
+	byKey := map[string]Cell{}
+	for _, c := range cells {
+		byKey[c.Key] = c
+	}
+	inRiderUnit := map[string]bool{}
+	for _, keys := range planKeys(cells) {
+		if len(keys) > 1 && rideOf(byKey[keys[0]], byKey[keys[1]]) != sim.Live {
+			for _, k := range keys {
+				inRiderUnit[k] = true
+			}
+		}
+	}
 
 	// Reference: each sweep cell joins the latest unit whose first cell
 	// has a DeepEqual stream key and seed list, until it is full.
 	var want [][]string
 	latest := map[int]int{} // first cell index → its latest unit
 	for i, c := range cells {
+		if inRiderUnit[c.Key] {
+			continue
+		}
 		if !c.IsSweep() {
 			want = append(want, []string{c.Key})
 			continue
@@ -372,22 +409,84 @@ func TestPlanUnitsMatchesDeepEqualGrouping(t *testing.T) {
 		want = append(want, []string{c.Key})
 	}
 
-	rs := &ResultSet{results: map[string]*CellResult{}}
 	var got [][]string
-	for _, u := range planUnits(cells, rs) {
-		var keys []string
-		for _, c := range u.cells {
-			keys = append(keys, c.Key)
+	for _, keys := range planKeys(cells) {
+		if !inRiderUnit[keys[0]] {
+			got = append(got, keys)
 		}
-		got = append(got, keys)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("planUnits formed %d units, DeepEqual grouping %d; first difference at %v",
+		t.Fatalf("planUnits formed %d units without riders, DeepEqual grouping %d; first difference at %v",
 			len(got), len(want), firstDiff(got, want))
 	}
-	if len(got) >= len(cells) {
-		t.Fatalf("no sweep cells were grouped: %d units for %d cells", len(got), len(cells))
+	if len(got) >= len(cells)-len(inRiderUnit) {
+		t.Fatalf("no sweep cells were grouped: %d units for %d cells", len(got), len(cells)-len(inRiderUnit))
 	}
+}
+
+// TestPlanUnitsSeatsRiders: on the merged evaluation, every sweep cell
+// that can ride an earlier cell of its group (sim.RideOf, equal stream
+// key and seed list) lands in a unit led by a host it rides; a unit with
+// riders holds nothing but its host and riders; and no unit holds more
+// than sim.GroupCap state holders — certified riders hold none.
+func TestPlanUnitsSeatsRiders(t *testing.T) {
+	cells := evaluationCells()
+	byKey := map[string]Cell{}
+	for _, c := range cells {
+		byKey[c.Key] = c
+	}
+	unitOf := map[string][]string{}
+	for _, keys := range planKeys(cells) {
+		for _, k := range keys {
+			unitOf[k] = keys
+		}
+		holders, riders := 0, 0
+		for _, k := range keys {
+			r := rideOf(byKey[keys[0]], byKey[k])
+			if r != sim.Certified {
+				holders++
+			}
+			if r != sim.Live {
+				riders++
+			}
+		}
+		if riders > 0 && riders != len(keys)-1 {
+			t.Errorf("unit %v holds cells that do not ride its host", keys)
+		}
+		if holders > sim.GroupCap {
+			t.Errorf("unit %v holds %d state holders, more than GroupCap %d", keys, holders, sim.GroupCap)
+		}
+	}
+	counts := map[sim.Ride]int{}
+	for i, c := range cells {
+		if !c.IsSweep() {
+			continue
+		}
+		for _, h := range cells[:i] {
+			if !h.IsSweep() || !reflect.DeepEqual(h.Config.StreamKey(), c.Config.StreamKey()) || !reflect.DeepEqual(h.Seeds, c.Seeds) {
+				continue
+			}
+			if r := rideOf(h, c); r != sim.Live {
+				counts[r]++
+				u := unitOf[c.Key]
+				if u[0] == c.Key || rideOf(byKey[u[0]], c) != r {
+					t.Errorf("rider %s (%v) is not in a unit led by a host it rides: %v", c.Key, r, u)
+				}
+				break
+			}
+		}
+	}
+	// 4 policy variants x 3 device-side variants, 5 fault techniques x 3
+	// weak-cells rates; 5 techniques x {drop, delay} x 3 rates.
+	if counts[sim.Mirror] != 27 || counts[sim.Certified] != 30 {
+		t.Fatalf("evaluation has %d mirror and %d certified rider cells, want 27 and 30", counts[sim.Mirror], counts[sim.Certified])
+	}
+}
+
+// rideOf is sim.RideOf for two sweep cells.
+func rideOf(host, c Cell) sim.Ride {
+	h, m := host.member(), c.member()
+	return sim.RideOf(&h, &m)
 }
 
 func firstDiff(a, b [][]string) any {

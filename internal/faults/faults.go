@@ -261,26 +261,56 @@ func (h *Harness) TableBytesPerBank() int { return h.inner.TableBytesPerBank() }
 // CommandFilter returns the memctrl fault filter realizing a command-path
 // plan (DropActN/DelayActN), or nil for every other model.
 func CommandFilter(plan Plan) func(mitigation.Command) memctrl.Disposition {
-	if !plan.Active() {
+	verdict, fires := commandGate(plan)
+	if fires == nil {
 		return nil
 	}
-	var verdict memctrl.Disposition
-	switch plan.Model {
-	case DropActN:
-		verdict = memctrl.Drop
-	case DelayActN:
-		verdict = memctrl.Delay
-	default:
-		return nil
-	}
-	gate := rng.NewXorShift64Star(plan.Seed ^ 0xc0de)
-	r := rate32(plan.Rate)
 	return func(mitigation.Command) memctrl.Disposition {
-		if gate.Uint64()&0xffffffff < r {
+		if fires() {
 			return verdict
 		}
 		return memctrl.Deliver
 	}
+}
+
+// CommandFaultWithin reports whether a command-path plan's filter faults
+// any of the first n commands it sees. It replays CommandFilter's own
+// draws, so false means the filter delivers those n commands — a run
+// whose command path carries n commands is then the healthy run. Every
+// other model faults nothing on the command path.
+func CommandFaultWithin(plan Plan, n uint64) bool {
+	_, fires := commandGate(plan)
+	if fires == nil {
+		return false
+	}
+	for ; n > 0; n-- {
+		if fires() {
+			return true
+		}
+	}
+	return false
+}
+
+// IsCommandPath reports whether the plan is an active command-path plan
+// (DropActN or DelayActN).
+func (p Plan) IsCommandPath() bool {
+	return p.Active() && (p.Model == DropActN || p.Model == DelayActN)
+}
+
+// commandGate is the command path's fault gate: the verdict a firing
+// draw hands down, and the draw itself, one per command. It is nil for
+// every model but DropActN and DelayActN.
+func commandGate(plan Plan) (memctrl.Disposition, func() bool) {
+	if !plan.IsCommandPath() {
+		return memctrl.Deliver, nil
+	}
+	verdict := memctrl.Drop
+	if plan.Model == DelayActN {
+		verdict = memctrl.Delay
+	}
+	gate := rng.NewXorShift64Star(plan.Seed ^ 0xc0de)
+	r := rate32(plan.Rate)
+	return verdict, func() bool { return gate.Uint64()&0xffffffff < r }
 }
 
 // WeakCellInjector returns a per-access device injector realizing a

@@ -241,3 +241,39 @@ func TestCorruptingReader(t *testing.T) {
 		t.Fatal("different seeds produced identical corruption")
 	}
 }
+
+// TestCommandFaultWithinReplaysTheFilter: for command-path plans, the
+// first command CommandFilter faults is command n exactly when
+// CommandFaultWithin(plan, n) is the first true answer; every other
+// model faults nothing.
+func TestCommandFaultWithinReplaysTheFilter(t *testing.T) {
+	for _, plan := range []faults.Plan{
+		{Model: faults.DropActN, Rate: 0.01, Seed: 4},
+		{Model: faults.DelayActN, Rate: 0.05, Seed: 9},
+		{Model: faults.DropActN, Rate: 1e-4, Seed: 1},
+	} {
+		f := faults.CommandFilter(plan)
+		first := uint64(0)
+		for n := uint64(1); n < 1_000_000 && first == 0; n++ {
+			if f(mitigation.Command{}) != memctrl.Deliver {
+				first = n
+			}
+		}
+		if first == 0 {
+			t.Fatalf("%+v: no command faulted", plan)
+		}
+		if faults.CommandFaultWithin(plan, first-1) || !faults.CommandFaultWithin(plan, first) {
+			t.Errorf("%+v: filter faults command %d first, CommandFaultWithin(%d, %d) = %v, %v",
+				plan, first, first-1, first, faults.CommandFaultWithin(plan, first-1), faults.CommandFaultWithin(plan, first))
+		}
+	}
+	for _, plan := range []faults.Plan{
+		{Model: faults.DropActN, Rate: 0, Seed: 4},
+		{Model: faults.StateSEU, Rate: 1, Seed: 4},
+		{Model: faults.WeakCells, Rate: 1, Seed: 4},
+	} {
+		if faults.CommandFaultWithin(plan, 1000) {
+			t.Errorf("%+v faults a command", plan)
+		}
+	}
+}

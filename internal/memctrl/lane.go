@@ -75,6 +75,22 @@ func NewLane(cfg Config, dev *dram.Device, mit mitigation.Mitigator) (*Lane, err
 	return l, nil
 }
 
+// AddMirror attaches a mirror device: a single-bank device of the lane's
+// geometry that receives every activation, mitigation command and
+// interval advance the lane's own device does, in the same order. The
+// lane's row buffer, mitigation and command path serve both, so a
+// configuration that differs from the lane's only in its device (refresh
+// policy, row remap, injected disturbance) is simulated without a
+// second mitigation. Install a mirror before the lane's first access.
+func (l *Lane) AddMirror(dev *dram.Device) error {
+	p, own := dev.Params(), l.dev.Params()
+	if p.TotalBanks() != 1 || p.RowsPerBank != own.RowsPerBank || p.RefInt != own.RefInt {
+		return fmt.Errorf("memctrl: mirror device geometry differs from the lane's")
+	}
+	l.mirrors = append(l.mirrors, dev)
+	return nil
+}
+
 // IntervalsFired returns how many refresh-interval boundaries the lane
 // has fired.
 func (l *Lane) IntervalsFired() int { return l.fired }
@@ -116,6 +132,9 @@ func (l *Lane) accessFull(row int32, write bool) {
 		l.openRow = row
 	}
 	l.dev.Activate(0, int(row))
+	for _, d := range l.mirrors {
+		d.Activate(0, int(row))
+	}
 	if l.mit != nil {
 		// Most activations trigger nothing: skip the queue machinery when
 		// the mitigation returned no commands, and write the scratch slice
@@ -145,6 +164,9 @@ func (l *Lane) CatchUp(interval int) {
 func (l *Lane) fireRefreshInterval() {
 	l.refreshCommands(int(l.ivInWin))
 	l.dev.AdvanceInterval()
+	for _, d := range l.mirrors {
+		d.AdvanceInterval()
+	}
 	l.openRow = -1 // refresh precharges the bank
 	l.fired++
 	l.ivInWin++

@@ -185,3 +185,41 @@ func TestLaneCommandHookSeesCommands(t *testing.T) {
 		t.Fatalf("hook saw %d commands, want 2", len(seen))
 	}
 }
+
+// TestLaneMirrorSeesWhatTheDeviceSees: a mirror device receives every
+// activation, mitigation command and interval advance of the lane's own
+// device, so two devices of equal configuration end in equal state; a
+// mirror of another geometry is refused.
+func TestLaneMirrorSeesWhatTheDeviceSees(t *testing.T) {
+	l := newLane(t, &flooder{n: 1})
+	mirror, err := dram.New(laneParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AddMirror(mirror); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		l.CatchUp(i / 40)
+		l.Access(int32(i*7%97), false)
+	}
+	l.CatchUp(80)
+	own := l.Device()
+	if own.Stats() != mirror.Stats() || own.Stats().NeighborActs == 0 || own.Interval() != mirror.Interval() {
+		t.Fatalf("mirror stats %+v at interval %d, own %+v at %d", mirror.Stats(), mirror.Interval(), own.Stats(), own.Interval())
+	}
+	for r := 0; r < 97; r++ {
+		if own.Disturbance(0, r) != mirror.Disturbance(0, r) {
+			t.Fatalf("row %d: mirror disturbance %d, own %d", r, mirror.Disturbance(0, r), own.Disturbance(0, r))
+		}
+	}
+	p := laneParams()
+	p.RowsPerBank *= 2
+	other, err := dram.New(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.AddMirror(other) == nil {
+		t.Fatal("lane accepted a mirror of another geometry")
+	}
+}

@@ -16,6 +16,9 @@ import (
 type cmdQueue struct {
 	dev *dram.Device
 	mit mitigation.Mitigator // nil for an unprotected system
+	// mirrors receive every command dev does (see Lane.AddMirror); the
+	// Controller has none.
+	mirrors []*dram.Device
 
 	pendingCap int
 	pending    []mitigation.Command
@@ -97,17 +100,30 @@ func (q *cmdQueue) execute(cmd mitigation.Command) {
 	switch cmd.Kind {
 	case mitigation.ActN:
 		q.stats.ActN++
-		q.dev.ActivateNeighbors(cmd.Bank, cmd.Row)
 	case mitigation.ActNOne:
 		q.stats.ActNOne++
-		q.dev.ActivateNeighbor(cmd.Bank, cmd.Row, int(cmd.Side))
 	case mitigation.RefreshRow:
 		q.stats.RefreshRow++
-		q.dev.RefreshRow(cmd.Bank, cmd.Row)
 	default:
 		panic(fmt.Sprintf("memctrl: unknown command kind %v", cmd.Kind))
 	}
+	executeOn(q.dev, cmd)
+	for _, d := range q.mirrors {
+		executeOn(d, cmd)
+	}
 	q.afterExec(cmd.Bank)
+}
+
+// executeOn performs a validated mitigation command on one device.
+func executeOn(d *dram.Device, cmd mitigation.Command) {
+	switch cmd.Kind {
+	case mitigation.ActN:
+		d.ActivateNeighbors(cmd.Bank, cmd.Row)
+	case mitigation.ActNOne:
+		d.ActivateNeighbor(cmd.Bank, cmd.Row, int(cmd.Side))
+	case mitigation.RefreshRow:
+		d.RefreshRow(cmd.Bank, cmd.Row)
+	}
 }
 
 // refreshCommands runs the command side of a refresh-interval boundary

@@ -80,6 +80,19 @@ var (
 		"Simulation runs that panicked and were converted to errors.")
 )
 
+// Stream-sharing groups: member-runs a group takes from a host member
+// instead of simulating them on lanes of their own.
+var (
+	MirrorRuns = Default.Counter("tivapromi_rider_runs_total",
+		"Group member-runs served from a host member's run instead of simulated on lanes of their own, by kind.",
+		"kind", "mirror")
+	CertifiedRuns = Default.Counter("tivapromi_rider_runs_total",
+		"Group member-runs served from a host member's run instead of simulated on lanes of their own, by kind.",
+		"kind", "certified")
+	CertificateFailures = Default.Counter("tivapromi_certificate_failures_total",
+		"Command-path riders whose fault gate fires within the host's commands; each re-runs live.")
+)
+
 // Checkpoint store: durability and salvage.
 var (
 	CheckpointFlushes = Default.Counter("tivapromi_checkpoint_flushes_total",

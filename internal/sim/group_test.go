@@ -169,3 +169,68 @@ func TestGroupFailureIsolation(t *testing.T) {
 		}
 	}
 }
+
+// TestRidersMatchSolo: for every registry technique and the unprotected
+// system, a group of a healthy host and its riders gives every rider its
+// solo RunCtx Result bit for bit — policy and remap mirrors, a
+// weak-cells mirror, drop/delay riders whose certificate passes, and
+// riders whose certificate fails and re-run live. PARA's riders at 1e-2
+// fail in every evaluation run, but this window carries only a few PARA
+// commands per lane, so the test's failing riders run PARA at 0.5.
+func TestRidersMatchSolo(t *testing.T) {
+	ctx := context.Background()
+	var total rideCounts
+	paraFailed := 0
+	for _, seed := range Seeds(21, 2) {
+		base := shardConfig()
+		base.Seed = seed
+		for _, tech := range append([]string{""}, mitigation.Names()...) {
+			members := []Member{{Config: base, Technique: tech, Cell: "host"}}
+			add := func(cell string, mutate func(*Config)) {
+				c := base
+				mutate(&c)
+				members = append(members, Member{Config: c, Technique: tech, Cell: cell})
+			}
+			add("remapped", func(c *Config) { c.Policy, c.RemapSwaps = PolicyRemapped, 16 })
+			add("random", func(c *Config) { c.Policy = PolicyRandom })
+			add("counter+mask", func(c *Config) { c.Policy = PolicyMaskedCounter })
+			add("remap", func(c *Config) { c.RemapSwaps = 16 })
+			add("weak", func(c *Config) { c.Fault = faults.Plan{Model: faults.WeakCells, Rate: 1e-3, Seed: 5} })
+			rates := []float64{1e-4}
+			if tech == "PARA" {
+				rates = append(rates, 0.5)
+			}
+			for _, rate := range rates {
+				for _, m := range []faults.Model{faults.DropActN, faults.DelayActN} {
+					add(fmt.Sprintf("%s@%g", m, rate), func(c *Config) { c.Fault = faults.Plan{Model: m, Rate: rate, Seed: 5} })
+				}
+			}
+			got, rc, err := runGroup(ctx, members)
+			if err != nil {
+				t.Fatalf("seed %#x %q: %v", seed, tech, err)
+			}
+			if rc.mirrors != 5 || rc.certified+rc.failed != 2*len(rates) {
+				t.Fatalf("seed %#x %q: %+v; want 5 mirrors and %d certified riders", seed, tech, rc, 2*len(rates))
+			}
+			total.mirrors += rc.mirrors
+			total.certified += rc.certified
+			total.failed += rc.failed
+			if tech == "PARA" {
+				paraFailed += rc.failed
+			}
+			for i, m := range members {
+				want, err := RunCtx(ctx, m.Config, m.Technique)
+				if err != nil {
+					t.Fatalf("seed %#x %q %s: %v", seed, tech, m.Cell, err)
+				}
+				if got[i] != want {
+					t.Errorf("seed %#x %q %s: rider diverged from solo RunCtx\n got: %+v\nwant: %+v", seed, tech, m.Cell, got[i], want)
+				}
+			}
+		}
+	}
+	if total.certified == 0 || total.failed == 0 || paraFailed < 4 {
+		t.Fatalf("certificates: %+v, PARA failures %d; want passes, failures, and PARA's riders at 0.5 failing", total, paraFailed)
+	}
+	t.Logf("riders: %+v", total)
+}

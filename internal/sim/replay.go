@@ -102,11 +102,11 @@ func ReplayTrace(r *trace.Reader, technique string, flipThreshold uint32) (Resul
 // interval crossing, so the trace carries exactly one IntervalEnd per
 // global interval, placed after that interval's activations.
 func RecordTrace(cfg Config, w *trace.Writer) error {
-	src, envs, err := prepareGroup([]Member{{Config: cfg}})
+	g, err := prepareGroup([]Member{{Config: cfg}})
 	if err != nil {
 		return err
 	}
-	env := envs[0]
+	src, env := g.src, g.envs[0]
 	var werr error
 	for b, l := range env.lanes {
 		bank := b

@@ -16,7 +16,9 @@ import (
 // FuzzResultPayload pins decodeResult to encoding/json. For fuzzed
 // field values, it must decode json.Marshal(r) back to r. For arbitrary
 // bytes, whenever it accepts a payload, json.Unmarshal must accept it
-// too and yield the same Result.
+// too and yield the same Result. Results compare bit for bit
+// (sameResult), so a decoder that loses the sign of a negative zero
+// fails.
 func FuzzResultPayload(f *testing.F) {
 	canonical, _ := json.Marshal(Result{Technique: "LoLiPRoMi", Policy: "neighbors", Seed: 3,
 		TotalActs: 1 << 40, OverheadPct: 0.1234, Flips: -2, AvgActsPerInterval: 1e-7})
@@ -24,13 +26,16 @@ func FuzzResultPayload(f *testing.F) {
 		uint64(165), uint64(0), uint64(0), uint64(0), 0, 64, 0.5, 0.25, 40.5, canonical)
 	f.Add(`<a&b>"q"\`, "é漢字\u2028", uint64(math.MaxUint64), uint64(0), uint64(0), uint64(0),
 		uint64(0), uint64(0), uint64(1), uint64(2), uint64(3), math.MinInt64, math.MaxInt64,
-		-0.0, 1e300, 5e-324, []byte(`{"Technique":"<","Policy":"😀"}`))
+		math.Copysign(0, -1), 1e300, 5e-324, []byte(`{"Technique":"<","Policy":"😀"}`))
 	f.Add("", "\x00\x1f\x7f", uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0),
 		uint64(0), uint64(0), uint64(0), 0, 0, 1e21, 1e-6, 123456789.125,
 		bytes.Replace(canonical, []byte(`"Seed":3`), []byte(`"Seed":3.0`), 1))
 	f.Add("x", "y", uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0),
 		uint64(0), uint64(0), uint64(0), 0, 0, 0.0, 0.0, 0.0,
 		bytes.Replace(canonical, []byte(`"Flips":-2`), []byte(`"Flips":-0`), 1))
+	f.Add("x", "y", uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0),
+		uint64(0), uint64(0), uint64(0), 0, 0, 0.0, math.Copysign(0, -1), math.Copysign(0, -1),
+		bytes.Replace(canonical, []byte(`"OverheadPct":0.1234`), []byte(`"OverheadPct":-0`), 1))
 	f.Fuzz(func(t *testing.T, tech, pol string, seed, total, att, extra, falseActs, maxActs, inj, drop, delay uint64,
 		flips, table int, over, fpr, avg float64, raw []byte) {
 		// json.Marshal rewrites invalid UTF-8, so only valid names can
@@ -44,7 +49,7 @@ func FuzzResultPayload(f *testing.F) {
 		}
 		if data, err := json.Marshal(r); err == nil { // NaN and Inf do not marshal
 			got, ok := decodeResult(data, nameTab{})
-			if !ok || !reflect.DeepEqual(got, r) {
+			if !ok || !sameResult(got, r) {
 				t.Fatalf("decodeResult(%s) = %+v, %v; want %+v", data, got, ok, r)
 			}
 		}
@@ -53,7 +58,7 @@ func FuzzResultPayload(f *testing.F) {
 			if err := json.Unmarshal(raw, &want); err != nil {
 				t.Fatalf("decodeResult accepted %q, which encoding/json refuses: %v", raw, err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !sameResult(got, want) {
 				t.Fatalf("decodeResult(%q) = %+v, encoding/json = %+v", raw, got, want)
 			}
 			if !utf8.ValidString(got.Technique) || !utf8.ValidString(got.Policy) {
@@ -61,6 +66,15 @@ func FuzzResultPayload(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameResult reports whether a and b are equal with their float fields
+// compared bit for bit: == and reflect.DeepEqual take -0 for +0.
+func sameResult(a, b Result) bool {
+	bits := func(r Result) [3]uint64 {
+		return [3]uint64{math.Float64bits(r.OverheadPct), math.Float64bits(r.FPRPct), math.Float64bits(r.AvgActsPerInterval)}
+	}
+	return a == b && bits(a) == bits(b)
 }
 
 // writeLoadFixture writes a checkpoint of n sweep records, two seeds

@@ -160,18 +160,20 @@ func RunSeedsCtx(ctx context.Context, rc RunnerConfig, cfg Config, technique str
 }
 
 // attempt labels one run attempt in traces and events: the technique(s),
-// the seed, the campaign cell(s) and the group's member count.
+// the seed, the campaign cell(s), the group's member count and how many
+// of its members ride another (see Ride).
 type attempt struct {
 	technique string
 	seed      uint64
 	cell      string
 	members   int
+	riders    int
 }
 
 // attemptOf labels an attempt of the given group (one member for a solo
 // run).
 func attemptOf(group []Member) attempt {
-	a := attempt{seed: group[0].Config.Seed, members: len(group)}
+	a := attempt{seed: group[0].Config.Seed, members: len(group), riders: countRiders(group)}
 	for i, m := range group {
 		if i > 0 {
 			a.technique += ","
@@ -236,7 +238,8 @@ func runOnce(ctx context.Context, rc RunnerConfig, a attempt, fn func(context.Co
 		"technique", a.technique,
 		"seed", a.seedHex(),
 		"cell", a.cell,
-		"members", strconv.Itoa(a.members))
+		"members", strconv.Itoa(a.members),
+		"riders", strconv.Itoa(a.riders))
 	defer func() {
 		outcome := "ok"
 		switch {

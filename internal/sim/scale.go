@@ -98,15 +98,15 @@ func ScaleSmoke(ctx context.Context, cfg Config, technique string) (ScaleSmokeRe
 	runtime.ReadMemStats(&before)
 
 	start := time.Now()
-	src, envs, err := prepareGroup([]Member{{Config: cfg, Technique: technique}})
+	g, err := prepareGroup([]Member{{Config: cfg, Technique: technique}})
 	if err != nil {
 		return rep, err
 	}
-	if err := src.drive(ctx, envs); err != nil {
+	if err := g.src.drive(ctx, g.envs); err != nil {
 		return rep, err
 	}
-	env := envs[0]
-	res := env.collect()
+	env := g.envs[0]
+	res := env.collect(0)
 	rep.Seconds = time.Since(start).Seconds()
 
 	// Live-heap high water: GC first so the delta excludes transient

@@ -256,34 +256,30 @@ func (c Config) StreamKey() Config {
 // solo RunCtx bit for bit. Members whose stream keys differ are a
 // permanent error.
 //
+// Members that can take their run from another member ride it instead
+// of being simulated on lanes of their own (see Ride): a mirror's
+// devices ride its host's lanes, and a certified rider takes its host's
+// Result once its command-path faults are shown never to fire, or runs
+// live in a second pass.
+//
 // The driver polls ctx and ticks the context's Heartbeat once per block.
 func RunGroup(ctx context.Context, members []Member) ([]Result, error) {
-	src, envs, err := prepareGroup(members)
-	if err != nil {
-		return nil, err
-	}
-	if err := src.drive(ctx, envs); err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(envs))
-	for i, e := range envs {
-		out[i] = e.collect()
-	}
-	return out, nil
+	out, _, err := runGroup(ctx, members)
+	return out, err
 }
 
 // DrainStream generates cfg's full access stream without servicing any
 // of it — the trace-generation stage in isolation: the group driver with
 // no members. Returns the number of accesses generated.
 func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
-	src, _, err := prepareGroup([]Member{{Config: cfg}})
+	g, err := prepareGroup([]Member{{Config: cfg}})
 	if err != nil {
 		return 0, err
 	}
-	if err := src.drive(ctx, nil); err != nil {
+	if err := g.src.drive(ctx, nil); err != nil {
 		return 0, err
 	}
-	return uint64(src.total()), nil
+	return uint64(g.src.total()), nil
 }
 
 // blockLen is the group driver's block: the accesses generated at once
@@ -320,6 +316,7 @@ func (src *source) total() int { return src.intervals * src.api }
 // runEnv is one member's fully wired simulation: one memctrl.Lane per
 // bank (each with its own single-bank device, mitigation instance, fault
 // instrumentation and classification hook), fed by the group's source.
+// Its mirrors' devices ride the same lanes.
 type runEnv struct {
 	src       *source
 	lanes     []*memctrl.Lane
@@ -327,7 +324,33 @@ type runEnv struct {
 	harnesses []*faults.Harness    // per lane; nil without an active plan
 	mit0      mitigation.Mitigator // lane 0's (possibly fault-wrapped) instance
 	falseActs []uint64             // per lane
-	res       Result               // identity fields
+	// sides[0] is the member's own device side, sides[k] its k-th
+	// mirror's.
+	sides []deviceSide
+}
+
+// deviceSide is what one member served by an env owns: a device per
+// lane, and its Result's identity fields.
+type deviceSide struct {
+	devs []*dram.Device
+	res  Result
+}
+
+// groupPlan is a prepared group: the shared source, the environments of
+// the members simulated on lanes of their own, and where every member's
+// Result comes from.
+type groupPlan struct {
+	src   *source
+	envs  []*runEnv
+	seats []seat // per member
+}
+
+// seat places one member: on device side `side` of envs[env] (0 is the
+// env's own member, k > 0 its k-th mirror), or, for a certified rider,
+// beside its host member.
+type seat struct {
+	env, side int
+	host      int // a certified rider's host member; -1 otherwise
 }
 
 // laneSeed derives the per-bank seed for bank b; bank 0 keeps the base
@@ -337,40 +360,59 @@ func laneSeed(seed uint64, bank int) uint64 {
 }
 
 // prepareGroup validates the members and builds the group's source and
-// one runEnv per member: everything that determines behavior lives here,
-// shared by RunGroup, DrainStream, RecordTrace and ScaleSmoke.
-func prepareGroup(members []Member) (*source, []*runEnv, error) {
+// one runEnv per member simulated on its own lanes: everything that
+// determines behavior lives here, shared by RunGroup, DrainStream,
+// RecordTrace and ScaleSmoke. Riders are seated on their hosts (see
+// seatRiders); a lone member, or a group without a host, has none.
+func prepareGroup(members []Member) (*groupPlan, error) {
 	if len(members) == 0 {
-		return nil, nil, permanent(errors.New("sim: empty group"))
+		return nil, permanent(errors.New("sim: empty group"))
 	}
 	factories := make([]mitigation.Factory, len(members))
 	for i, m := range members {
 		if err := m.Config.Validate(); err != nil {
-			return nil, nil, permanent(err)
+			return nil, permanent(err)
 		}
 		if i > 0 && !reflect.DeepEqual(m.Config.StreamKey(), members[0].Config.StreamKey()) {
-			return nil, nil, permanent(fmt.Errorf("sim: group member %d (%q) does not share member 0's access stream", i, m.Technique))
+			return nil, permanent(fmt.Errorf("sim: group member %d (%q) does not share member 0's access stream", i, m.Technique))
 		}
 		factories[i] = m.Config.Factory
 		if factories[i] == nil && m.Technique != "" {
 			f, err := mitigation.Lookup(m.Technique)
 			if err != nil {
-				return nil, nil, permanent(err)
+				return nil, permanent(err)
 			}
 			factories[i] = f
 		}
 	}
 	src, err := newSource(members[0].Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	envs := make([]*runEnv, len(members))
+	hostOf, rides := seatRiders(members)
+	g := &groupPlan{src: src, seats: make([]seat, len(members))}
 	for i, m := range members {
-		if envs[i], err = newRunEnv(m.Config, factories[i], src); err != nil {
-			return nil, nil, err
+		if rides[i] != Live {
+			if rides[i] == Certified {
+				g.seats[i] = seat{env: -1, host: hostOf[i]}
+			}
+			continue
 		}
+		var mirrors []Config
+		g.seats[i] = seat{env: len(g.envs), host: -1}
+		for j := range members {
+			if rides[j] == Mirror && hostOf[j] == i {
+				mirrors = append(mirrors, members[j].Config)
+				g.seats[j] = seat{env: len(g.envs), side: len(mirrors), host: -1}
+			}
+		}
+		env, err := newRunEnv(m.Config, factories[i], src, mirrors)
+		if err != nil {
+			return nil, err
+		}
+		g.envs = append(g.envs, env)
 	}
-	return src, envs, nil
+	return g, nil
 }
 
 // newSource builds the shared traffic of every configuration with cfg's
@@ -398,8 +440,9 @@ func newSource(cfg Config) (*source, error) {
 }
 
 // newRunEnv wires one member: its lanes, devices, mitigation instances
-// and fault instrumentation. factory is nil for an unprotected system.
-func newRunEnv(cfg Config, factory mitigation.Factory, src *source) (*runEnv, error) {
+// and fault instrumentation, plus a device per lane for each mirror
+// config. factory is nil for an unprotected system.
+func newRunEnv(cfg Config, factory mitigation.Factory, src *source, mirrors []Config) (*runEnv, error) {
 	banks := cfg.Params.TotalBanks()
 	rpb := cfg.Params.RowsPerBank
 	laneParams := cfg.Params
@@ -421,15 +464,13 @@ func newRunEnv(cfg Config, factory mitigation.Factory, src *source) (*runEnv, er
 		RefInt:        cfg.Params.RefInt,
 		FlipThreshold: cfg.Params.FlipThreshold,
 	}
-	var perm []int
-	if cfg.RemapSwaps > 0 {
-		perm = remapPerm(rpb, cfg.RemapSwaps, cfg.Seed)
+	cfgs := append([]Config{cfg}, mirrors...)
+	perms := make([][]int, len(cfgs))
+	for k, c := range cfgs {
+		if c.RemapSwaps > 0 {
+			perms[k] = remapPerm(rpb, c.RemapSwaps, c.Seed)
+		}
 	}
-	// Fault plan: derive a per-seed campaign so every seed of a sweep
-	// sees an independent but reproducible fault stream; each lane then
-	// mixes its bank in, so banks see independent streams too.
-	basePlan := cfg.Fault
-	basePlan.Seed = cfg.Fault.Seed ^ (cfg.Seed * 0x9e3779b97f4a7c15)
 
 	env := &runEnv{
 		src:       src,
@@ -437,45 +478,56 @@ func newRunEnv(cfg Config, factory mitigation.Factory, src *source) (*runEnv, er
 		laneIv:    make([]int32, banks),
 		harnesses: make([]*faults.Harness, banks),
 		falseActs: make([]uint64, banks),
+		sides:     make([]deviceSide, len(cfgs)),
+	}
+	for k := range env.sides {
+		env.sides[k].devs = make([]*dram.Device, banks)
 	}
 	for b := 0; b < banks; b++ {
 		env.laneIv[b] = -1
-		// Every lane gets its own policy instance seeded with the base
-		// seed: all banks refresh the same rows each interval, exactly as
-		// one shared multi-bank device would.
-		pol, err := cfg.policy(cfg.Seed)
-		if err != nil {
-			return nil, permanent(err)
-		}
-		dev, err := dram.New(laneParams, pol)
-		if err != nil {
-			return nil, permanent(err)
-		}
-		if perm != nil {
-			if err := dev.SetRowRemap(perm); err != nil {
+		var ticks []func()
+		for k, c := range cfgs {
+			dev, tick, err := laneDevice(c, laneParams, perms[k], b)
+			if err != nil {
 				return nil, err
+			}
+			env.sides[k].devs[b] = dev
+			if tick != nil {
+				ticks = append(ticks, tick)
 			}
 		}
 		var mit mitigation.Mitigator
 		if factory != nil {
 			mit = factory(laneTarget, laneSeed(cfg.Seed, b))
 		}
-		plan := basePlan
-		plan.Seed = laneSeed(basePlan.Seed, b)
+		plan := lanePlan(cfg, b)
 		if plan.Active() && mit != nil {
 			h := faults.Wrap(mit, plan)
 			env.harnesses[b] = h
 			mit = h
 		}
-		lane, err := memctrl.NewLane(memctrl.DefaultConfig(), dev, mit)
+		lane, err := memctrl.NewLane(memctrl.DefaultConfig(), env.sides[0].devs[b], mit)
 		if err != nil {
 			return nil, err
+		}
+		for _, side := range env.sides[1:] {
+			if err := lane.AddMirror(side.devs[b]); err != nil {
+				return nil, err
+			}
 		}
 		if f := faults.CommandFilter(plan); f != nil {
 			lane.SetCommandFilter(f)
 		}
-		if weaken := faults.WeakCellInjector(plan, dev); weaken != nil {
-			lane.SetAccessTick(weaken)
+		switch len(ticks) {
+		case 0:
+		case 1:
+			lane.SetAccessTick(ticks[0])
+		default:
+			lane.SetAccessTick(func() {
+				for _, tick := range ticks {
+					tick()
+				}
+			})
 		}
 		bs := src.aggRows[b]
 		ctr := &env.falseActs[b]
@@ -497,12 +549,45 @@ func newRunEnv(cfg Config, factory mitigation.Factory, src *source) (*runEnv, er
 			env.mit0 = mit
 		}
 	}
-	env.res = Result{
-		Technique: techniqueName(env.mit0),
-		Policy:    env.lanes[0].Device().Policy().Name(),
-		Seed:      cfg.Seed,
+	for k, c := range cfgs {
+		env.sides[k].res = Result{
+			Technique: techniqueName(env.mit0),
+			Policy:    env.sides[k].devs[0].Policy().Name(),
+			Seed:      c.Seed,
+		}
 	}
 	return env, nil
+}
+
+// laneDevice builds cfg's single-bank device for lane b: its own refresh
+// policy instance, seeded with the base seed so all banks refresh the
+// same rows each interval, exactly as one shared multi-bank device would;
+// the row remap perm (nil for none); and, under a WeakCells plan, the
+// injector the lane ticks before every access (nil otherwise).
+func laneDevice(cfg Config, p dram.Params, perm []int, b int) (*dram.Device, func(), error) {
+	pol, err := cfg.policy(cfg.Seed)
+	if err != nil {
+		return nil, nil, permanent(err)
+	}
+	dev, err := dram.New(p, pol)
+	if err != nil {
+		return nil, nil, permanent(err)
+	}
+	if perm != nil {
+		if err := dev.SetRowRemap(perm); err != nil {
+			return nil, nil, err
+		}
+	}
+	return dev, faults.WeakCellInjector(lanePlan(cfg, b), dev), nil
+}
+
+// lanePlan derives lane b's fault plan from cfg's: a per-seed campaign,
+// so every seed of a sweep sees an independent but reproducible fault
+// stream, with the bank mixed in, so banks see independent streams too.
+func lanePlan(cfg Config, b int) faults.Plan {
+	plan := cfg.Fault
+	plan.Seed = laneSeed(cfg.Fault.Seed^(cfg.Seed*0x9e3779b97f4a7c15), b)
+	return plan
 }
 
 // rowIsAggressor probes the per-bank ground-truth bitset; neighbor probes
@@ -574,19 +659,21 @@ func (e *runEnv) finish() {
 	}
 }
 
-// collect merges the per-lane devices and controllers into the Result, in
-// bank order. The per-bank interval statistics merge exactly: each lane's
+// collect merges device side k's per-lane devices and the lanes'
+// controllers into that member's Result, in bank order. The per-bank interval statistics merge exactly: each lane's
 // device counts one bank-interval per boundary, so the sums, counts, and
 // maxima add up to what one multi-bank device would have recorded.
-func (e *runEnv) collect() Result {
-	res := e.res
+func (e *runEnv) collect(k int) Result {
+	side := e.sides[k]
+	res := side.res
 	var sumIA, seenIA uint64
 	for b, l := range e.lanes {
-		ds := l.Device().Stats()
+		dev := side.devs[b]
+		ds := dev.Stats()
 		cs := l.Stats()
 		res.TotalActs += ds.Activates
 		res.ExtraActs += cs.ActN + cs.ActNOne + cs.RefreshRow
-		res.Flips += int(l.Device().FlipCount())
+		res.Flips += int(dev.FlipCount())
 		if ds.MaxActsInIntv > res.MaxActsPerInterval {
 			res.MaxActsPerInterval = ds.MaxActsInIntv
 		}
@@ -610,9 +697,10 @@ func (e *runEnv) collect() Result {
 	if seenIA > 0 {
 		res.AvgActsPerInterval = float64(sumIA) / float64(seenIA)
 	}
-	if obs.MetricsEnabled() {
+	if k == 0 && obs.MetricsEnabled() {
 		// Per-run flush of the scale metrics: one pass over the lanes a
-		// run already makes, so no per-access cost anywhere. Acts come
+		// run already makes, so no per-access cost anywhere. Mirrors add
+		// nothing: their accesses and activations are the lanes' own. Acts come
 		// from the device counters; sparse-state and touched-row gauges
 		// are high-water marks across every device this process ran.
 		var acts uint64
