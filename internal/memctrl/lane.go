@@ -44,6 +44,9 @@ type Lane struct {
 	cfg Config
 
 	openRow int32
+	// hitRow is the row an access serves on Access's inlined fast path:
+	// openRow while no access tick is installed, -1 (no row) otherwise.
+	hitRow  int32
 	fired   int   // refresh-interval boundaries fired so far
 	ivInWin int32 // cached dev.IntervalInWindow(): avoids a modulo per activation
 	refInt  int32
@@ -69,6 +72,7 @@ func NewLane(cfg Config, dev *dram.Device, mit mitigation.Mitigator) (*Lane, err
 		cmdQueue: cmdQueue{dev: dev, mit: mit, pendingCap: cfg.PendingCap},
 		cfg:      cfg,
 		openRow:  -1,
+		hitRow:   -1,
 		refInt:   int32(dev.Params().RefInt),
 	}
 	l.afterExec = l.closeRow
@@ -97,26 +101,33 @@ func (l *Lane) IntervalsFired() int { return l.fired }
 
 // SetAccessTick installs a callback invoked once before every serviced
 // access (per-access fault-injector ticks).
-func (l *Lane) SetAccessTick(fn func()) { l.tick = fn }
+func (l *Lane) SetAccessTick(fn func()) {
+	l.tick = fn
+	l.hitRow = -1
+	if fn == nil {
+		l.hitRow = l.openRow
+	}
+}
 
 // Access services one read/write to the lane's bank. A row hit leaves the
 // device untouched; a row miss activates the row, feeds the mitigation,
 // and drains any buffered Row-Hammer commands.
 //
-// The row-hit case is split out: a hit with no access-tick installed is
-// two compares and two increments. Everything else — including hits when
-// a fault injector needs its per-access tick — takes the full path.
+// The row-hit case is split out and inlines into the driver's loop: a hit
+// with no access tick installed is one compare and two increments.
+// Everything else — including hits when a fault injector needs its
+// per-access tick — takes the full path. Writes and reads have identical
+// Row-Hammer behavior.
 func (l *Lane) Access(row int32, write bool) {
-	if l.openRow == row && l.tick == nil {
+	if l.hitRow == row {
 		l.stats.Accesses++
 		l.stats.RowHits++
 		return
 	}
-	l.accessFull(row, write)
+	l.accessFull(row)
 }
 
-func (l *Lane) accessFull(row int32, write bool) {
-	_ = write // writes and reads have identical Row-Hammer behavior
+func (l *Lane) accessFull(row int32) {
 	if l.tick != nil {
 		l.tick()
 	}
@@ -127,9 +138,9 @@ func (l *Lane) accessFull(row int32, write bool) {
 	}
 	l.stats.RowMisses++
 	if l.cfg.ClosedPage {
-		l.openRow = -1 // auto-precharge
+		l.open(-1) // auto-precharge
 	} else {
-		l.openRow = row
+		l.open(row)
 	}
 	l.dev.Activate(0, int(row))
 	for _, d := range l.mirrors {
@@ -167,7 +178,7 @@ func (l *Lane) fireRefreshInterval() {
 	for _, d := range l.mirrors {
 		d.AdvanceInterval()
 	}
-	l.openRow = -1 // refresh precharges the bank
+	l.open(-1) // refresh precharges the bank
 	l.fired++
 	l.ivInWin++
 	if l.ivInWin == l.refInt {
@@ -188,4 +199,12 @@ func (l *Lane) TakeAccesses() uint64 {
 
 // closeRow is the lane's after-execute step: the maintenance activation
 // precharged the bank.
-func (l *Lane) closeRow(int) { l.openRow = -1 }
+func (l *Lane) closeRow(int) { l.open(-1) }
+
+// open records the bank's open row, -1 when precharged.
+func (l *Lane) open(row int32) {
+	l.openRow = row
+	if l.tick == nil {
+		l.hitRow = row
+	}
+}

@@ -175,6 +175,26 @@ func TestLaneAccessTick(t *testing.T) {
 	}
 }
 
+// TestLaneAccessTickOnRowHits: the inlined row-hit path never skips an
+// installed tick, also one installed while a row is open, and serves
+// hits again once the tick is removed.
+func TestLaneAccessTickOnRowHits(t *testing.T) {
+	l := newLane(t, nil)
+	l.Access(7, false) // opens row 7
+	ticks := 0
+	l.SetAccessTick(func() { ticks++ })
+	l.Access(7, false)
+	l.Access(7, false)
+	if ticks != 2 {
+		t.Fatalf("ticks on row hits = %d, want 2", ticks)
+	}
+	l.SetAccessTick(nil)
+	l.Access(7, false)
+	if s := l.Stats(); ticks != 2 || s.Accesses != 4 || s.RowHits != 3 || s.RowMisses != 1 {
+		t.Fatalf("after removing the tick: ticks %d, stats %+v; want 2 ticks, 4 accesses, 3 hits, 1 miss", ticks, s)
+	}
+}
+
 func TestLaneCommandHookSeesCommands(t *testing.T) {
 	f := &flooder{n: 2}
 	l := newLane(t, f)

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"tivapromi/internal/dram"
 	"tivapromi/internal/mitigation"
@@ -10,10 +11,18 @@ import (
 // This file implements the cycle-accurate controller: an FR-FCFS
 // scheduler over per-bank state machines with the JEDEC DDR4 core
 // timings (tRCD, tRP, CL, tRAS, tRC, tRRD, tFAW) and all-bank refresh.
-// The service-time Controller (memctrl.go) is the simulator's fast path;
-// the Scheduler exists to validate that the fast path's activation
-// statistics are faithful (see the package tests and EXPERIMENTS.md) and
-// to study request latency, which service times cannot express.
+// The simulator runs on the service-time model instead: one Lane
+// (lane.go) per bank, the per-bank slice of the whole-device Controller
+// (memctrl.go). The Scheduler exists to validate that the service-time
+// model's activation statistics are faithful (the package tests compare
+// it with Controller; see EXPERIMENTS.md) and to study request latency,
+// which service times cannot express.
+//
+// Requests queue per bank in arrival order and carry a global arrival
+// number, so an FR-FCFS decision scans the banks, not the requests: the
+// oldest row hit among the banks ready for a column command, else the
+// oldest other request among the banks that may ACT (precharged) or PRE
+// (open).
 //
 // Tick advances the clock exactly one cycle. RunIntervals and Drain are
 // event-driven: before each Tick they jump the clock over the cycles in
@@ -70,13 +79,13 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// Request is one memory request for the scheduler.
-type Request struct {
-	Bank  int
-	Row   int
-	Write bool
-
+// entry is one queued request. seq is its global arrival number, the
+// FR-FCFS age compared across banks (several requests arrive in one
+// cycle). Reads and writes schedule alike, so the direction is not kept.
+type entry struct {
+	seq     uint64
 	arrived int64
+	row     int32
 }
 
 // SchedStats aggregates scheduler activity.
@@ -110,36 +119,53 @@ func (s SchedStats) RowHits() uint64 {
 	return s.Served - s.RowMisses
 }
 
-// bankState is one bank's state machine.
+// bankState is one bank's state machine and its request queue.
 type bankState struct {
-	openRow   int32 // -1 when precharged
-	reqs      int32 // queued requests for this bank
-	hits      int32 // queued requests for the open row (0 when precharged)
-	actReady  int64 // earliest cycle an ACT may issue (tRP/tRC)
-	colReady  int64 // earliest cycle a column command may issue (tRCD)
-	preReady  int64 // earliest cycle a PRE may issue (tRAS)
-	busyUntil int64 // data/maintenance occupancy
+	q         []entry // the bank's queued requests, in arrival order
+	openRow   int32   // -1 when precharged
+	hits      int32   // queued requests for the open row (0 when precharged)
+	group     int32   // DDR4 bank group (0 without grouping)
+	actReady  int64   // earliest cycle an ACT may issue (tRP/tRC)
+	colReady  int64   // earliest cycle a column command may issue (tRCD)
+	preReady  int64   // earliest cycle a PRE may issue (tRAS)
+	busyUntil int64   // data/maintenance occupancy
 }
 
-// Scheduler is a cycle-accurate FR-FCFS DDR4 controller front.
-// Not safe for concurrent use.
+// oldest returns the queue position of the bank's oldest request for
+// its open row (hit) or for another row (!hit); the bank must have one
+// (hits > 0, or len(q) > hits).
+func (b *bankState) oldest(hit bool) int {
+	for k := range b.q {
+		if (b.q[k].row == b.openRow) == hit {
+			return k
+		}
+	}
+	panic("memctrl: bank hit count out of step with its queue")
+}
+
+// Scheduler is a cycle-accurate FR-FCFS DDR4 controller front. Requests
+// queue per bank in arrival order, so a scheduling decision passes over
+// the banks, each offering its oldest candidate. Not safe for concurrent
+// use.
 type Scheduler struct {
 	timing Timing
 	dev    *dram.Device
 	mit    mitigation.Mitigator
+	rows   int // rows per bank, for Enqueue's bounds check
 
 	banks    []bankState
-	queue    []Request
+	queued   int // requests queued across all banks
 	queueCap int
+	seq      uint64 // arrival number of the next request
 
 	cycle   int64
 	nextRef int64
 	// acts holds the last four ACT issue cycles for the tFAW window, a
 	// ring whose slot actHead is the oldest (the fourth-latest ACT).
-	acts        [4]int64
-	actHead     int
-	lastAct     int64 // for tRRD
-	lastActBank int   // bank of the last ACT, for bank-group spacing
+	acts      [4]int64
+	actHead   int
+	lastAct   int64 // for tRRD
+	lastGroup int32 // bank group of the last ACT (-1 before the first), for tRRD_L/tRRD_S
 
 	pending []mitigation.Command
 	scratch []mitigation.Command
@@ -155,19 +181,24 @@ func NewScheduler(t Timing, dev *dram.Device, mit mitigation.Mitigator, queueCap
 	if queueCap <= 0 {
 		return nil, fmt.Errorf("memctrl: queue capacity %d", queueCap)
 	}
+	p := dev.Params()
 	s := &Scheduler{
 		timing:   t,
 		dev:      dev,
 		mit:      mit,
-		banks:    make([]bankState, dev.Params().TotalBanks()),
+		rows:     p.RowsPerBank,
+		banks:    make([]bankState, p.TotalBanks()),
 		queueCap: queueCap,
 		nextRef:  int64(t.TREF),
 		acts:     [4]int64{-1 << 40, -1 << 40, -1 << 40, -1 << 40},
 		lastAct:  -1 << 40,
 	}
-	s.lastActBank = -1
+	s.lastGroup = -1
 	for b := range s.banks {
 		s.banks[b].openRow = -1
+		if t.BankGroups > 1 {
+			s.banks[b].group = int32(b % t.BankGroups)
+		}
 	}
 	return s, nil
 }
@@ -179,20 +210,26 @@ func (s *Scheduler) Stats() SchedStats { return s.stats }
 func (s *Scheduler) Cycle() int64 { return s.cycle }
 
 // QueueLen returns the number of queued requests.
-func (s *Scheduler) QueueLen() int { return len(s.queue) }
+func (s *Scheduler) QueueLen() int { return s.queued }
 
 // Enqueue adds a request; it reports false when the queue is full (the
 // front-end must stall).
 func (s *Scheduler) Enqueue(bank, row int, write bool) bool {
-	if len(s.queue) >= s.queueCap {
+	if s.queued >= s.queueCap {
 		return false
 	}
-	if bank < 0 || bank >= len(s.banks) || row < 0 || row >= s.dev.Params().RowsPerBank {
+	if bank < 0 || bank >= len(s.banks) || row < 0 || row >= s.rows {
 		panic(fmt.Sprintf("memctrl: request out of range: bank %d row %d", bank, row))
 	}
-	s.queue = append(s.queue, Request{Bank: bank, Row: row, Write: write, arrived: s.cycle})
 	b := &s.banks[bank]
-	b.reqs++
+	if b.q == nil {
+		// Room for the whole queue in one bank, allocated once per bank
+		// that ever receives a request.
+		b.q = make([]entry, 0, s.queueCap)
+	}
+	b.q = append(b.q, entry{seq: s.seq, arrived: s.cycle, row: int32(row)})
+	s.seq++
+	s.queued++
 	if b.openRow == int32(row) {
 		b.hits++
 	}
@@ -214,51 +251,104 @@ func (s *Scheduler) Tick() {
 	if s.issueMaintenance() {
 		return
 	}
-	// FR-FCFS: first ready column command (open row) in queue order...
-	for i := range s.queue {
-		r := &s.queue[i]
-		b := &s.banks[r.Bank]
-		if b.openRow == int32(r.Row) && s.cycle >= b.colReady && s.cycle >= b.busyUntil {
-			s.serve(i)
-			return
-		}
-	}
-	// ...then the oldest request: ACT if precharged, else PRE the
-	// conflicting row.
-	for i := range s.queue {
-		r := &s.queue[i]
-		b := &s.banks[r.Bank]
-		if b.openRow == int32(r.Row) {
-			continue // waiting on tRCD; a younger row hit may fire next cycle
-		}
-		if b.openRow == -1 {
-			if s.cycle >= b.actReady && s.cycle >= s.earliestACT(r.Bank) {
-				s.issueACT(r.Bank, r.Row)
-				return
-			}
-			if s.cycle >= b.actReady {
-				s.stats.FAWStalls++
-			}
+	now := s.cycle
+	// FR-FCFS: the oldest row hit among the banks ready for a column
+	// command...
+	hitBank, hitAt, hitSeq := -1, 0, uint64(math.MaxUint64)
+	for i := range s.banks {
+		b := &s.banks[i]
+		if b.hits == 0 || now < b.colReady || now < b.busyUntil {
 			continue
 		}
-		if s.cycle >= b.preReady && s.cycle >= b.busyUntil {
-			s.issuePRE(r.Bank)
-			return
+		if k := b.oldest(true); b.q[k].seq < hitSeq {
+			hitBank, hitAt, hitSeq = i, k, b.q[k].seq
+		}
+	}
+	if hitBank >= 0 {
+		s.serve(hitBank, hitAt)
+		return
+	}
+	// ...then the oldest other request whose bank may take its next
+	// command: ACT if precharged, else PRE the conflicting row. Hits
+	// waiting on tRCD stay queued; a younger one may fire next cycle.
+	same, cross := s.actWindow()
+	pick, pickSeq, stalled := -1, uint64(math.MaxUint64), false
+	for i := range s.banks {
+		b := &s.banks[i]
+		if int(b.hits) == len(b.q) {
+			continue
+		}
+		k := 0 // a precharged bank's requests are all misses
+		if b.openRow == -1 {
+			if now < b.actReady {
+				continue
+			}
+			if now < s.actAt(b, same, cross) {
+				stalled = true
+				continue
+			}
+		} else {
+			if now < b.preReady || now < b.busyUntil {
+				continue
+			}
+			k = b.oldest(false)
+		}
+		if b.q[k].seq < pickSeq {
+			pick, pickSeq = i, b.q[k].seq
+		}
+	}
+	if stalled {
+		s.countFAWStalls(pickSeq, same, cross)
+	}
+	switch {
+	case pick < 0:
+	case s.banks[pick].openRow == -1:
+		s.issueACT(pick, int(s.banks[pick].q[0].row))
+	default:
+		s.issuePRE(pick)
+	}
+}
+
+// countFAWStalls adds this cycle's FAWStalls: every request older than
+// the one issued (arrival number below before) that waits in a
+// precharged bank past its tRP/tRC deadline while the bus spacing
+// (tRRD, tFAW) still blocks its ACT.
+func (s *Scheduler) countFAWStalls(before uint64, same, cross int64) {
+	now := s.cycle
+	for i := range s.banks {
+		b := &s.banks[i]
+		if b.openRow != -1 || len(b.q) == 0 || now < b.actReady || now >= s.actAt(b, same, cross) {
+			continue
+		}
+		for _, r := range b.q {
+			if r.seq >= before {
+				break
+			}
+			s.stats.FAWStalls++
 		}
 	}
 }
 
-// earliestACT is the first cycle the command bus admits an ACT to bank:
-// tRRD_L after the last ACT within its bank group (tRRD_S across groups)
-// and tFAW after the fourth-latest ACT.
-func (s *Scheduler) earliestACT(bank int) int64 {
-	gap := int64(s.timing.TRRD)
-	if s.timing.BankGroups > 1 && s.timing.TRRDS > 0 && s.lastActBank >= 0 {
-		if bank%s.timing.BankGroups != s.lastActBank%s.timing.BankGroups {
-			gap = int64(s.timing.TRRDS)
-		}
+// actWindow returns the first cycle the command bus admits an ACT to a
+// bank in the last ACT's bank group (tRRD_L) and to a bank in another
+// group (tRRD_S), both also tFAW after the fourth-latest ACT.
+func (s *Scheduler) actWindow() (same, cross int64) {
+	faw := s.acts[s.actHead] + int64(s.timing.TFAW)
+	same = max(s.lastAct+int64(s.timing.TRRD), faw)
+	cross = same
+	if s.timing.BankGroups > 1 && s.timing.TRRDS > 0 && s.lastGroup >= 0 {
+		cross = max(s.lastAct+int64(s.timing.TRRDS), faw)
 	}
-	return max(s.lastAct+gap, s.acts[s.actHead]+int64(s.timing.TFAW))
+	return same, cross
+}
+
+// actAt picks b's earliest ACT cycle from actWindow's pair. Before the
+// first ACT the two are equal.
+func (s *Scheduler) actAt(b *bankState, same, cross int64) int64 {
+	if b.group != s.lastGroup {
+		return cross
+	}
+	return same
 }
 
 // issueACT opens a row, feeding the device and the mitigation.
@@ -269,12 +359,12 @@ func (s *Scheduler) issueACT(bank, row int) {
 	b.preReady = s.cycle + int64(s.timing.TRAS)
 	b.actReady = s.cycle + int64(s.timing.TRC)
 	s.lastAct = s.cycle
-	s.lastActBank = bank
+	s.lastGroup = b.group
 	s.acts[s.actHead] = s.cycle
 	s.actHead = (s.actHead + 1) % len(s.acts)
 	b.hits = 0
-	for i := range s.queue {
-		if s.queue[i].Bank == bank && s.queue[i].Row == row {
+	for _, r := range b.q {
+		if r.row == b.openRow {
 			b.hits++
 		}
 	}
@@ -294,20 +384,21 @@ func (s *Scheduler) issuePRE(bank int) {
 	b.actReady = max(b.actReady, s.cycle+int64(s.timing.TRP))
 }
 
-// serve issues the column command for queue entry i and retires it.
-func (s *Scheduler) serve(i int) {
-	r := s.queue[i]
-	b := &s.banks[r.Bank]
+// serve issues the column command for position k of bank's queue and
+// retires the request.
+func (s *Scheduler) serve(bank, k int) {
+	b := &s.banks[bank]
+	r := b.q[k]
 	b.busyUntil = s.cycle + int64(s.timing.CL)
-	b.reqs--
 	b.hits--
+	b.q = append(b.q[:k], b.q[k+1:]...)
+	s.queued--
 	s.stats.Served++
 	lat := s.cycle - r.arrived
 	s.stats.LatencyTotal += lat
 	if lat > s.stats.LatencyMax {
 		s.stats.LatencyMax = lat
 	}
-	s.queue = append(s.queue[:i], s.queue[i+1:]...)
 }
 
 // issueMaintenance executes one buffered mitigation command if its bank
@@ -365,11 +456,11 @@ func (s *Scheduler) issueRefresh() {
 // maintenance buffer are empty (bounded by a deadline to catch livelocks).
 func (s *Scheduler) Drain(maxCycles int64) error {
 	deadline := s.cycle + maxCycles
-	for (len(s.queue) > 0 || len(s.pending) > 0) && s.cycle < deadline {
+	for (s.queued > 0 || len(s.pending) > 0) && s.cycle < deadline {
 		s.skipIdle(deadline)
 		s.Tick()
 	}
-	if len(s.queue) > 0 || len(s.pending) > 0 {
+	if s.queued > 0 || len(s.pending) > 0 {
 		return fmt.Errorf("memctrl: scheduler did not drain within %d cycles", maxCycles)
 	}
 	s.stats.Cycles = s.cycle
@@ -382,7 +473,7 @@ func (s *Scheduler) Drain(maxCycles int64) error {
 func (s *Scheduler) RunIntervals(n int, next func() (bank, row int, write bool)) {
 	target := s.dev.Interval() + n
 	for s.dev.Interval() < target {
-		for len(s.queue) < s.queueCap {
+		for s.queued < s.queueCap {
 			bank, row, write := next()
 			s.Enqueue(bank, row, write)
 		}
@@ -397,7 +488,7 @@ func (s *Scheduler) RunIntervals(n int, next func() (bank, row int, write bool))
 // command's bank going idle, a row hit's column command, or a non-hit's
 // ACT (bus spacing included) or PRE. Every cycle before it is idle, and
 // idle cycles change nothing but the clock and FAWStalls.
-func (s *Scheduler) nextIssue() int64 {
+func (s *Scheduler) nextIssue(same, cross int64) int64 {
 	next := s.nextRef
 	for _, cmd := range s.pending {
 		b := &s.banks[cmd.Bank]
@@ -408,9 +499,9 @@ func (s *Scheduler) nextIssue() int64 {
 		if b.hits > 0 {
 			next = min(next, max(b.colReady, b.busyUntil))
 		}
-		if b.reqs > b.hits {
+		if len(b.q) > int(b.hits) {
 			if b.openRow == -1 {
-				next = min(next, max(b.actReady, s.earliestACT(i)))
+				next = min(next, max(b.actReady, s.actAt(b, same, cross)))
 			} else {
 				next = min(next, max(b.preReady, b.busyUntil))
 			}
@@ -425,18 +516,19 @@ func (s *Scheduler) nextIssue() int64 {
 // for a precharged bank stalls in every cycle from the bank's tRP/tRC
 // deadline until the bus admits its ACT.
 func (s *Scheduler) skipIdle(limit int64) {
-	to := min(s.nextIssue(), limit) // the cycle the next Tick lands on
+	same, cross := s.actWindow()
+	to := min(s.nextIssue(same, cross), limit) // the cycle the next Tick lands on
 	if to <= s.cycle+1 {
 		return
 	}
 	from := s.cycle + 1
 	for i := range s.banks {
 		b := &s.banks[i]
-		if b.openRow != -1 || b.reqs == 0 {
+		if b.openRow != -1 || len(b.q) == 0 {
 			continue
 		}
-		if lo, hi := max(from, b.actReady), min(to, s.earliestACT(i)); hi > lo {
-			s.stats.FAWStalls += uint64(b.reqs) * uint64(hi-lo)
+		if lo, hi := max(from, b.actReady), min(to, s.actAt(b, same, cross)); hi > lo {
+			s.stats.FAWStalls += uint64(len(b.q)) * uint64(hi-lo)
 		}
 	}
 	s.cycle = to - 1

@@ -32,10 +32,10 @@ func tickRunIntervals(s *Scheduler, n int, next func() (int, int, bool)) {
 // tickDrain is the tick-by-tick reference for Drain.
 func tickDrain(s *Scheduler, maxCycles int64) error {
 	deadline := s.cycle + maxCycles
-	for (len(s.queue) > 0 || len(s.pending) > 0) && s.cycle < deadline {
+	for (s.queued > 0 || len(s.pending) > 0) && s.cycle < deadline {
 		s.Tick()
 	}
-	if len(s.queue) > 0 || len(s.pending) > 0 {
+	if s.queued > 0 || len(s.pending) > 0 {
 		return errNotDrained
 	}
 	s.stats.Cycles = s.cycle

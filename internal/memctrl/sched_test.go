@@ -109,8 +109,8 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 		s.Tick()
 	}
 	// The first serve must have been the younger row hit, leaving the
-	// conflicting request at the queue head.
-	if s.QueueLen() != 1 || s.queue[0].Row != 200 {
+	// conflicting request alone in bank 0's queue.
+	if q := s.banks[0].q; s.QueueLen() != 1 || len(q) != 1 || q[0].row != 200 {
 		t.Fatal("FR-FCFS did not reorder the row hit ahead of the conflict")
 	}
 	if err := s.Drain(100_000); err != nil {

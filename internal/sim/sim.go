@@ -248,13 +248,14 @@ func (c Config) StreamKey() Config {
 
 // RunGroup runs members that share one access stream (equal StreamKeys)
 // together. The driver generates the stream once, blockLen accesses at a
-// time, and feeds each block through every member's lanes in turn: route
-// an access to its bank's lane, repeat. A lane fires the refresh
-// boundaries it has missed only on its first access of a new interval,
-// so a bank's whole evolution is a function of its own access
-// subsequence and the access index — each member's Result equals its
-// solo RunCtx bit for bit. Members whose stream keys differ are a
-// permanent error.
+// time, chains each block's accesses by bank as it generates them, and
+// feeds the block through every member in turn, each serving it one lane
+// at a time: a bank's accesses in arrival order, then the next bank's. A
+// lane fires the refresh boundaries it has missed only on its first
+// access of a new interval, so a bank's whole evolution is a function of
+// its own access subsequence and the access index — each member's Result
+// equals its solo RunCtx bit for bit, whatever the order the banks are
+// served in. Members whose stream keys differ are a permanent error.
 //
 // Members that can take their run from another member ride it instead
 // of being simulated on lanes of their own (see Ride): a mirror's
@@ -287,13 +288,36 @@ func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
 // cadence of the ctx poll and the heartbeat.
 const blockLen = 1024
 
-// accessBlock holds one block of generated accesses in SoA form. The
-// refresh interval of an access is not stored: it follows from the
-// access index.
+// accessBlock holds one block of generated accesses in SoA form, in
+// arrival order, with each bank's accesses chained in arrival order so
+// that every member serves the block one bank at a time. The refresh
+// interval of an access is not stored: it follows from the access index.
 type accessBlock struct {
 	row   [blockLen]int32
-	bank  [blockLen]int32
 	write [blockLen]bool
+	// next is the block index of the same bank's next access, -1 after
+	// the bank's last one in the block.
+	next [blockLen]int16
+	// runs lists the banks with accesses in the block, in the order of
+	// their first access, each with the index its chain starts at.
+	runs []bankRun
+	// last is per bank: the index of the bank's latest access while fill
+	// chains a block, -1 otherwise.
+	last []int16
+}
+
+// bankRun is where one bank's chain in a block starts.
+type bankRun struct {
+	bank int32
+	head int16
+}
+
+func newAccessBlock(banks int) *accessBlock {
+	blk := &accessBlock{last: make([]int16, banks)}
+	for b := range blk.last {
+		blk.last[b] = -1
+	}
+	return blk
 }
 
 // source is a group's shared traffic: the access stream, its length, and
@@ -601,7 +625,7 @@ func rowIsAggressor(bs *bitset.Bitset, row, rpb int) bool {
 // generates.
 func (src *source) drive(ctx context.Context, envs []*runEnv) error {
 	hb := HeartbeatFrom(ctx)
-	blk := new(accessBlock)
+	blk := newAccessBlock(len(src.aggRows)) // aggRows has one entry per bank
 	total := src.total()
 	for base := 0; base < total; base += blockLen {
 		if err := ctx.Err(); err != nil {
@@ -614,7 +638,7 @@ func (src *source) drive(ctx context.Context, envs []*runEnv) error {
 		src.st.fill(blk, n)
 		metrics := obs.MetricsEnabled()
 		for _, e := range envs {
-			e.serve(blk, base, n)
+			e.serve(blk, base)
 			if metrics {
 				e.flushAccesses()
 			}
@@ -626,28 +650,30 @@ func (src *source) drive(ctx context.Context, envs []*runEnv) error {
 	return nil
 }
 
-// serve routes the first n accesses of blk, whose first access is access
-// base of the run, to the member's lanes. The laneIv gate replaces a
-// CatchUp call per access with a compare that only fails on a lane's
-// first access of a new interval.
-func (e *runEnv) serve(blk *accessBlock, base, n int) {
+// serve feeds blk, whose first access is access base of the run, to the
+// member's lanes one lane at a time, each following its bank's chain. A
+// lane's state evolves only from its own accesses and refresh boundaries
+// (see memctrl.Lane), and every other piece of a member's state is per
+// lane too, so serving the block bank by bank is exactly serving it in
+// arrival order, while each lane's device and mitigation state stays hot
+// for a whole run of accesses. The laneIv cursor gates CatchUp: a lane
+// catches up only on its first access at or past the block index where
+// its next interval starts.
+func (e *runEnv) serve(blk *accessBlock, base int) {
 	api := e.src.api
-	iv, rem := int32(base/api), api-base%api
 	lanes, laneIv := e.lanes, e.laneIv
-	rows, banks, writes := blk.row[:n], blk.bank[:n], blk.write[:n]
-	for j, row := range rows {
-		if rem == 0 {
-			iv++
-			rem = api
+	for _, r := range blk.runs {
+		l, cur := lanes[r.bank], laneIv[r.bank]
+		brk := int(cur+1)*api - base
+		for j := int(r.head); j >= 0; j = int(blk.next[j&(blockLen-1)]) {
+			if j >= brk {
+				cur = int32((base + j) / api)
+				l.CatchUp(int(cur))
+				brk = int(cur+1)*api - base
+			}
+			l.Access(blk.row[j&(blockLen-1)], blk.write[j&(blockLen-1)])
 		}
-		rem--
-		b := banks[j]
-		l := lanes[b]
-		if laneIv[b] != iv {
-			l.CatchUp(int(iv))
-			laneIv[b] = iv
-		}
-		l.Access(row, writes[j])
+		laneIv[r.bank] = cur
 	}
 }
 
@@ -784,13 +810,28 @@ func newStream(cfg Config, api int) (*stream, error) {
 	return st, nil
 }
 
-// fill generates the next n accesses into blk.
+// fill generates the next n accesses into blk and chains them per bank:
+// the block is regrouped by bank as it is generated, once for all
+// members. Block indices are below blockLen, so masking them with
+// blockLen-1 changes nothing but drops the bounds checks.
 func (st *stream) fill(blk *accessBlock, n int) {
-	rows, banks, writes := blk.row[:n], blk.bank[:n], blk.write[:n]
+	last, runs := blk.last, blk.runs[:0]
+	rows, writes := blk.row[:n], blk.write[:n]
 	for j := range rows {
 		a := st.gen()
-		rows[j], banks[j], writes[j] = int32(a.Row), int32(a.Bank), a.Write
+		rows[j], writes[j] = int32(a.Row), a.Write
+		if p := last[a.Bank]; p < 0 {
+			runs = append(runs, bankRun{bank: int32(a.Bank), head: int16(j)})
+		} else {
+			blk.next[p&(blockLen-1)] = int16(j)
+		}
+		last[a.Bank] = int16(j)
 	}
+	for _, r := range runs {
+		blk.next[last[r.bank]&(blockLen-1)] = -1
+		last[r.bank] = -1
+	}
+	blk.runs = runs
 }
 
 // gen produces the next access of the interleaved sequence. The
