@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench bench-campaign bench-hotpath bench-scale experiments examples fig4 serve serve-smoke obs-smoke clean
+.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench experiments examples fig4 serve serve-smoke obs-smoke clean
 
 all: build vet test
 
@@ -33,9 +33,9 @@ test-debugasserts:
 # verified record log under the checkpoint and journal, the chaos I/O
 # seam and torture harness, the multi-tenant campaign server and its
 # serving torture harness, and the hot-path structures the parallel
-# campaign touches.
+# campaign touches (the act-path harness in internal/mitigation/all).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/recordlog/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/servetest/... ./internal/hotpath/... ./internal/bitset/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/recordlog/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/servetest/... ./internal/mitigation/all/... ./internal/bitset/... ./internal/obs/...
 
 # The full pre-merge gate: formatting, build, vet, tests (both assertion
 # modes), race tests.
@@ -61,33 +61,6 @@ serve-chaos:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Serial-vs-parallel campaign timing: runs the whole evaluation at
-# -workers 1 and -workers N, verifies the bytes match, and writes
-# BENCH_campaign.json (cpus, sections, wall-clock, speedup). Set
-# BENCH_MIN_SPEEDUP to fail the run when a multi-core host shows no
-# parallel speedup at all (CI uses 1.0).
-BENCH_MIN_SPEEDUP ?= 0
-bench-campaign:
-	$(GO) run ./cmd/experiments -seeds 2 -windows 2 -trials 5 -bench-min-speedup $(BENCH_MIN_SPEEDUP) bench
-
-# Scale-out gate: simulate the full-DIMM geometry (32 banks, 2M rows)
-# with the sparse per-row state and assert the memory bounds (state <=
-# dense/8, live-heap growth <= dense/2), then time a multi-worker seed
-# sweep serial vs parallel with a byte-identity check. Both measurements
-# fold into BENCH_campaign.json under "scale". A single-CPU host cannot
-# substantiate a speedup claim, so the run refuses unless
-# ALLOW_SINGLE_CPU=1 records the timings with speedup_claimed=false.
-ALLOW_SINGLE_CPU ?=
-bench-scale:
-	$(GO) run ./cmd/experiments $(if $(ALLOW_SINGLE_CPU),-allow-single-cpu) -windows 8 -bench-min-speedup $(BENCH_MIN_SPEEDUP) scale
-
-# Hot-path benchmark harness: per-technique activation-path ns/act and
-# allocs/act (with the serial-LFSR "before" reference), written to
-# BENCH_hotpath.json. Fails if any act path allocates. The whole
-# pipeline, stage by stage, is timed by the benchmark under bench/.
-bench-hotpath:
-	$(GO) run ./cmd/experiments profile
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -21,21 +21,6 @@
 //	                               checkpoint between cycles, resume, and
 //	                               verify the final report is byte-identical
 //	                               to an undisturbed run
-//	experiments bench            — run `all` at -workers 1 and -workers N,
-//	                               verify byte-identical output, write timings
-//	experiments profile          — hot-path benchmark harness: per-technique
-//	                               act-path ns/act + allocs/act, written to
-//	                               BENCH_hotpath.json (optionally with
-//	                               pprof CPU/heap profiles)
-//	experiments scale            — scale-out gate: simulate a full-DIMM
-//	                               geometry (sparse state, heap bounded by
-//	                               touched rows, asserted) and time a
-//	                               multi-worker seed sweep serial vs
-//	                               parallel, folding both measurements into
-//	                               BENCH_campaign.json. On a single-CPU
-//	                               host the speedup claim is withheld
-//	                               (speedup_claimed=false) and the command
-//	                               refuses to run without -allow-single-cpu
 //	experiments serve            — long-running multi-tenant campaign server:
 //	                               HTTP/JSON campaign submission, per-tenant
 //	                               fair queuing and admission control over one
@@ -77,9 +62,6 @@
 //	                  ranks x bank-groups x banks x rows-per-bank
 //	                  (e.g. 1x8x4x65536); geometries of >= 2M rows
 //	                  automatically use the sparse per-row state
-//	-allow-single-cpu bench/scale: run on a single-CPU host anyway,
-//	                  recording timings with speedup_claimed=false instead
-//	                  of refusing
 //	-resume           with -checkpoint: finish a killed run; every section
 //	                  is re-rendered from the checkpointed results, and
 //	                  nothing already on disk is simulated again
@@ -98,12 +80,6 @@
 //	                  (default 3)
 //	-chaos-corrupt    chaos: also flip one checkpoint byte between cycles
 //	                  (default true)
-//	-bench-out PATH   where `bench` writes its JSON report (default
-//	                  BENCH_campaign.json)
-//	-bench-min-speedup X
-//	                  bench: fail when the parallel run's speedup over the
-//	                  serial run is below X on a multi-core host (0 = no
-//	                  floor; single-CPU hosts are never gated)
 //	-addr HOST:PORT   serve: listen address (default :8077)
 //	-queue-depth N    serve: per-tenant pending-job bound before 429s
 //	                  (default 8)
@@ -118,11 +94,6 @@
 //	-recover          serve: with -journal, re-run jobs interrupted by a
 //	                  crash (default true; -recover=false fails them
 //	                  typed instead, keeping only the idempotency ledger)
-//	-profile-out PATH where `profile` writes its JSON report (default
-//	                  BENCH_hotpath.json)
-//	-cpuprofile PATH  profile: also capture a pprof CPU profile of the
-//	                  act-path measurements
-//	-memprofile PATH  profile: also capture a pprof heap profile at exit
 //	-metrics-out PATH write the process-wide metric registry (Prometheus
 //	                  text exposition) to PATH at exit, on every exit
 //	                  path — a failed run is exactly when the flight
@@ -144,7 +115,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -154,16 +124,14 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux for -pprof-addr
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"tivapromi/internal/campaign"
 	"tivapromi/internal/chaostest"
 	"tivapromi/internal/dram"
-	"tivapromi/internal/hotpath"
 	"tivapromi/internal/obs"
 	"tivapromi/internal/report"
 	"tivapromi/internal/serve"
@@ -181,21 +149,15 @@ var (
 	ckptPath  = flag.String("checkpoint", "", "JSON checkpoint path for resumable campaigns")
 	resume    = flag.Bool("resume", false, "with -checkpoint: finish a killed run, re-rendering every section from the checkpoint")
 	geomF     = flag.String("geometry", "", "device geometry ranks x groups x banks x rows, e.g. 1x8x4x65536")
-	allow1cpu = flag.Bool("allow-single-cpu", false, "bench/scale: record timings on a single-CPU host with speedup_claimed=false")
 	workers   = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	timeout   = flag.Duration("timeout", 0, "per-run deadline for one simulation (0 = none)")
 	stall     = flag.Duration("stall", 0, "stall watchdog: cancel+retry a run silent for this long (0 = off)")
 	retryBudg = flag.Int("retry-budget", 0, "total cell-level re-attempts for transient failures (0 = none)")
 	progress  = flag.Bool("progress", false, "stream per-cell progress to stderr")
-	benchOut  = flag.String("bench-out", "BENCH_campaign.json", "bench: JSON report path")
-	profOut   = flag.String("profile-out", "BENCH_hotpath.json", "profile: JSON report path")
-	cpuProf   = flag.String("cpuprofile", "", "profile: write a pprof CPU profile here")
-	memProf   = flag.String("memprofile", "", "profile: write a pprof heap profile here")
 	chSeed    = flag.Uint64("chaos-seed", 1, "chaos: master seed for the torture schedule")
 	chCycles  = flag.Int("chaos-cycles", 3, "chaos: kill/resume cycles before the clean final run")
 	chCorrupt = flag.Bool("chaos-corrupt", true, "chaos: flip one checkpoint byte between cycles")
 	chDir     = flag.String("chaos-dir", "", "chaos: working directory (default: a fresh temp dir)")
-	benchMin  = flag.Float64("bench-min-speedup", 0, "bench: fail below this parallel speedup on multi-core (0 = no floor)")
 	addr      = flag.String("addr", ":8077", "serve: listen address")
 	queueDep  = flag.Int("queue-depth", 8, "serve: per-tenant pending-job bound before 429s")
 	maxTen    = flag.Int("max-tenants", 64, "serve: distinct-tenant bound")
@@ -220,13 +182,6 @@ type app struct {
 	stdout      io.Writer
 	stderr      io.Writer // nil: degraded-run diagnostics are dropped
 	progress    io.Writer // nil: no progress events
-
-	// benchMinSpeedup, when > 0, fails `bench` if the parallel run's
-	// speedup over the serial run is below it on a multi-core host.
-	benchMinSpeedup float64
-	// allowSingleCPU lets bench/scale run on a single-CPU host, recording
-	// timings with the speedup claim withheld instead of refusing.
-	allowSingleCPU bool
 }
 
 // sectionNames returns the registry's section names in paper order.
@@ -372,248 +327,28 @@ func (a *app) chaos(ctx context.Context, cfg chaostest.Config) error {
 	return nil
 }
 
-// benchReport is the JSON document `experiments bench` writes: the
-// wall-clock of the full evaluation at one worker versus N, and whether
-// the outputs matched byte for byte.
-type benchReport struct {
-	Sections        int     `json:"sections"`
-	Cells           int     `json:"cells"`
-	Seeds           int     `json:"seeds"`
-	Windows         int     `json:"windows"`
-	Trials          int     `json:"trials"`
-	CPUs            int     `json:"cpus"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
-	WorkersParallel int     `json:"workers_parallel"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"identical"`
-	// SpeedupClaimed is false when the timings were taken on a
-	// single-CPU host: the numbers are recorded for completeness but a
-	// parallel-scaling claim cannot be substantiated without cores to
-	// overlap work on. Gating consumers must check this, not Speedup.
-	SpeedupClaimed bool `json:"speedup_claimed"`
-	// Scale is `experiments scale`'s section: full-DIMM sparse-state
-	// footprint plus the multi-worker sweep timings.
-	Scale *scaleSection `json:"scale,omitempty"`
-}
-
-// scaleSection is what `experiments scale` folds into the campaign
-// benchmark report.
-type scaleSection struct {
-	sim.ScaleSmokeReport
-	CPUs            int     `json:"cpus"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
-	SweepSeeds      int     `json:"sweep_seeds"`
-	WorkersParallel int     `json:"workers_parallel"`
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	Identical       bool    `json:"identical"`
-	SpeedupClaimed  bool    `json:"speedup_claimed"`
-}
-
-// loadBenchReport reads an existing report at path so bench and scale
-// can each update their own fields without clobbering the other's. A
-// missing or unparseable file starts fresh.
-func loadBenchReport(path string) benchReport {
-	var rep benchReport
-	if raw, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(raw, &rep)
-	}
-	return rep
-}
-
-// writeBenchReport writes the report as indented JSON.
-func writeBenchReport(path string, rep benchReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// bench runs the whole evaluation twice — serial and parallel — with no
-// checkpoint (so both runs really compute), verifies the outputs are
-// byte-identical, and writes the timing report.
-func (a *app) bench(ctx context.Context, path string) error {
-	names := sectionNames()
-	par := a.workers
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	single := runtime.NumCPU() == 1
-	if single {
-		// A single-CPU host cannot overlap work, so any speedup number it
-		// produces is noise. Refuse to record one silently: the operator
-		// must opt in, and the report then carries speedup_claimed=false.
-		if !a.allowSingleCPU {
-			return fmt.Errorf("bench: single-CPU host cannot substantiate a parallel speedup claim; rerun on >= 2 CPUs or pass -allow-single-cpu to record timings with speedup_claimed=false")
-		}
-		fmt.Fprintln(os.Stderr,
-			"experiments: bench on a single-CPU host: the parallel run cannot overlap work; recording speedup_claimed=false")
-	}
-	run := func(workers int) (string, time.Duration, error) {
-		var buf bytes.Buffer
-		b := *a
-		b.stdout = &buf
-		b.workers = workers
-		b.runner = &sim.Runner{Config: a.runner.Config} // no checkpoint
-		start := time.Now()
-		err := b.runSections(ctx, names)
-		return buf.String(), time.Since(start), err
-	}
-	serialOut, serialDur, err := run(1)
-	if err != nil {
-		return err
-	}
-	parOut, parDur, err := run(par)
-	if err != nil {
-		return err
-	}
-
-	var specs []campaign.Spec
-	for _, name := range names {
-		def, _ := report.Section(name)
-		specs = append(specs, def.Spec(a.ev))
-	}
-	rep := benchReport{
-		Sections:        len(names),
-		Cells:           len(campaign.Merge("evaluation", specs...).Cells),
-		Seeds:           a.ev.SeedsPerPoint,
-		Windows:         a.ev.Base.Windows,
-		Trials:          a.ev.Trials,
-		CPUs:            runtime.NumCPU(),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		WorkersParallel: par,
-		SerialSeconds:   serialDur.Seconds(),
-		ParallelSeconds: parDur.Seconds(),
-		Speedup:         serialDur.Seconds() / parDur.Seconds(),
-		Identical:       serialOut == parOut,
-		SpeedupClaimed:  !single,
-		Scale:           loadBenchReport(path).Scale, // keep `scale`'s section
-	}
-	if err := writeBenchReport(path, rep); err != nil {
-		return err
-	}
-	// The CPU count leads the summary: a speedup number is meaningless
-	// without knowing how many cores were available to produce it.
-	fmt.Fprintf(a.stdout, "bench: cpus=%d gomaxprocs=%d\n", rep.CPUs, rep.GoMaxProcs)
-	fmt.Fprintf(a.stdout, "bench: %d cells, serial %.1fs, parallel(%d) %.1fs, speedup %.2fx, identical %v — wrote %s\n",
-		rep.Cells, rep.SerialSeconds, par, rep.ParallelSeconds, rep.Speedup, rep.Identical, path)
-	if !rep.Identical {
-		return fmt.Errorf("bench: serial and parallel outputs differ")
-	}
-	if a.benchMinSpeedup > 0 && rep.CPUs > 1 && rep.Speedup < a.benchMinSpeedup {
-		return fmt.Errorf("bench: parallel speedup %.2fx on %d CPUs is below the -bench-min-speedup floor %.2f — the worker pool is not overlapping work",
-			rep.Speedup, rep.CPUs, a.benchMinSpeedup)
-	}
-	return nil
-}
-
-// scale is the scale-out gate: simulate a full-DIMM geometry and assert
-// the sparse-state memory bounds, then time a multi-worker seed sweep
-// serial versus parallel with a byte-identity check, and fold both
-// measurements into the campaign benchmark report at path. Like bench,
-// it refuses to produce a speedup number on a single-CPU host unless
-// -allow-single-cpu marks the claim withheld.
-func (a *app) scale(ctx context.Context, path string, p dram.Params) error {
-	single := runtime.NumCPU() == 1
-	if single && !a.allowSingleCPU {
-		return fmt.Errorf("scale: single-CPU host cannot substantiate a parallel speedup claim; rerun on >= 2 CPUs or pass -allow-single-cpu to record timings with speedup_claimed=false")
-	}
-
-	smoke, err := sim.ScaleSmoke(ctx, sim.ScaleSmokeConfig(p), "PARA")
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(a.stdout, "scale: geometry %s: %d banks, %d rows, sparse=%v\n",
-		smoke.Geometry, smoke.TotalBanks, smoke.TotalRows, smoke.Sparse)
-	fmt.Fprintf(a.stdout, "scale: touched %d/%d rows, state %d B vs dense %d B (%.1fx smaller), live heap +%d B, %d acts in %.2fs\n",
-		smoke.TouchedRows, smoke.TotalRows, smoke.StateBytes, smoke.DenseBytes,
-		float64(smoke.DenseBytes)/float64(smoke.StateBytes), smoke.HeapGrowth,
-		smoke.TotalActs, smoke.Seconds)
-	if err := smoke.Check(); err != nil {
-		return err
-	}
-	fmt.Fprintln(a.stdout, "scale: memory gate passed (state <= dense/8, heap growth <= dense/2)")
-
-	// Multi-worker sweep: the same seeds through the runner at one worker
-	// and at N, compared for byte-identical summaries. The sweep uses the
-	// evaluation's base config (seed-scale device), not the full DIMM —
-	// the campaign's unit of parallelism is the seed, and the point is
-	// worker-pool scaling, not device size.
-	par := a.workers
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	cfg := a.ev.Base
-	seeds := sim.Seeds(1, 4*par)
-	sweep := func(workers int) ([]byte, time.Duration, error) {
-		r := sim.NewRunner()
-		r.Config = a.runner.Config
-		r.Config.Workers = workers
-		start := time.Now()
-		sum, runErrs, err := r.RunSeeds(ctx, cfg, "PARA", seeds)
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(runErrs) != 0 {
-			return nil, 0, fmt.Errorf("scale: sweep at %d worker(s): %d seed(s) failed: %v", workers, len(runErrs), runErrs[0])
-		}
-		dur := time.Since(start)
-		raw, err := json.Marshal(sum)
-		return raw, dur, err
-	}
-	serialSum, serialDur, err := sweep(1)
-	if err != nil {
-		return err
-	}
-	parSum, parDur, err := sweep(par)
-	if err != nil {
-		return err
-	}
-
-	sec := &scaleSection{
-		ScaleSmokeReport: smoke,
-		CPUs:             runtime.NumCPU(),
-		GoMaxProcs:       runtime.GOMAXPROCS(0),
-		SweepSeeds:       len(seeds),
-		WorkersParallel:  par,
-		SerialSeconds:    serialDur.Seconds(),
-		ParallelSeconds:  parDur.Seconds(),
-		Speedup:          serialDur.Seconds() / parDur.Seconds(),
-		Identical:        bytes.Equal(serialSum, parSum),
-		SpeedupClaimed:   !single,
-	}
-	rep := loadBenchReport(path)
-	rep.Scale = sec
-	if err := writeBenchReport(path, rep); err != nil {
-		return err
-	}
-	fmt.Fprintf(a.stdout, "scale: cpus=%d sweep %d seeds, serial %.1fs, parallel(%d) %.1fs, speedup %.2fx (claimed=%v), identical %v — wrote %s\n",
-		sec.CPUs, sec.SweepSeeds, sec.SerialSeconds, par, sec.ParallelSeconds,
-		sec.Speedup, sec.SpeedupClaimed, sec.Identical, path)
-	if !sec.Identical {
-		return fmt.Errorf("scale: serial and parallel sweep summaries differ")
-	}
-	if a.benchMinSpeedup > 0 && sec.SpeedupClaimed && sec.Speedup < a.benchMinSpeedup {
-		return fmt.Errorf("scale: parallel speedup %.2fx on %d CPUs is below the -bench-min-speedup floor %.2f",
-			sec.Speedup, sec.CPUs, a.benchMinSpeedup)
-	}
-	return nil
-}
-
 // parseGeometry parses a ranks x groups x banks x rows spec like
 // "1x8x4x65536" into device parameters based on the full-DIMM defaults,
-// keeping the refresh interval a divisor of the row count.
+// keeping the refresh interval a divisor of the row count. The spec must
+// be exactly four decimal fields: trailing input is an error, not
+// ignored.
 func parseGeometry(s string) (dram.Params, error) {
 	p := dram.FullDIMMParams()
-	var ranks, groups, banks, rows int
-	if n, err := fmt.Sscanf(s, "%dx%dx%dx%d", &ranks, &groups, &banks, &rows); n != 4 || err != nil {
-		return p, fmt.Errorf("geometry %q: want RANKSxGROUPSxBANKSxROWS, e.g. 1x8x4x65536", s)
+	bad := fmt.Errorf("geometry %q: want RANKSxGROUPSxBANKSxROWS, e.g. 1x8x4x65536", s)
+	fields := strings.Split(s, "x")
+	if len(fields) != 4 {
+		return p, bad
 	}
-	p.Ranks, p.BankGroups, p.Banks, p.RowsPerBank = ranks, groups, banks, rows
+	var dims [4]int
+	for i, f := range fields {
+		n, err := strconv.Atoi(f)
+		if err != nil {
+			return p, bad
+		}
+		dims[i] = n
+	}
+	rows := dims[3]
+	p.Ranks, p.BankGroups, p.Banks, p.RowsPerBank = dims[0], dims[1], dims[2], rows
 	if p.RefInt > 0 && rows%p.RefInt != 0 {
 		// Keep whole rows-per-interval; an eighth of the rows per window
 		// mirrors the default scale's proportions.
@@ -626,67 +361,6 @@ func parseGeometry(s string) (dram.Params, error) {
 		return p, fmt.Errorf("geometry %q: %w", s, err)
 	}
 	return p, nil
-}
-
-// profile runs the hot-path benchmark harness (internal/hotpath) and
-// writes its report to path. It exits with an error when any technique's
-// activation path allocates — the regression the harness exists to catch.
-// Optional pprof captures cover the act-path measurements (CPU) and the
-// end state (heap).
-func (a *app) profile(path, cpuPath, memPath string) error {
-	if runtime.NumCPU() == 1 {
-		fmt.Fprintln(os.Stderr,
-			"experiments: profile on a single-CPU host: throughput numbers will be depressed by timer interference")
-	}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	rep := hotpath.BuildReport()
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, m := range rep.ActPath {
-		line := fmt.Sprintf("profile: %-10s %8.1f ns/act  %6.3f allocs/act  %12.0f acts/sec",
-			m.Name, m.NsPerAct, m.AllocsPerAct, m.ActsPerSec)
-		if m.RefNsPerAct > 0 {
-			line += fmt.Sprintf("  (serial-LFSR ref %.1f ns/act, %.1fx)", m.RefNsPerAct, m.Speedup)
-		}
-		if m.ObsNsPerAct > 0 {
-			line += fmt.Sprintf("  (obs on: %.1f ns/act, %+.1f%%)", m.ObsNsPerAct, m.ObsOverheadPct)
-		}
-		fmt.Fprintln(a.stdout, line)
-	}
-	fmt.Fprintf(a.stdout, "profile: wrote %s\n", path)
-	if memPath != "" {
-		f, err := os.Create(memPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	for _, m := range rep.ActPath {
-		if m.AllocsPerAct > 0 {
-			return fmt.Errorf("profile: %s allocates %.3f objects per activation on the act path, want 0",
-				m.Name, m.AllocsPerAct)
-		}
-	}
-	return nil
 }
 
 func main() {
@@ -728,16 +402,14 @@ func main() {
 	}
 
 	a := &app{
-		ev:              ev,
-		csv:             *csvOut,
-		svgPath:         *svgOut,
-		workers:         *workers,
-		retryBudget:     *retryBudg,
-		runner:          runner,
-		stdout:          os.Stdout,
-		stderr:          os.Stderr,
-		benchMinSpeedup: *benchMin,
-		allowSingleCPU:  *allow1cpu,
+		ev:          ev,
+		csv:         *csvOut,
+		svgPath:     *svgOut,
+		workers:     *workers,
+		retryBudget: *retryBudg,
+		runner:      runner,
+		stdout:      os.Stdout,
+		stderr:      os.Stderr,
 	}
 	if *progress {
 		a.progress = os.Stderr
@@ -771,14 +443,6 @@ func main() {
 	switch cmd {
 	case "all":
 		err = a.runSections(ctx, sectionNames())
-	case "bench":
-		err = a.bench(ctx, *benchOut)
-	case "scale":
-		p := dram.FullDIMMParams()
-		if *geomF != "" {
-			p = ev.Base.Params
-		}
-		err = a.scale(ctx, *benchOut, p)
 	case "chaos":
 		cfg := chaostest.Config{
 			Seed:    *chSeed,
@@ -791,8 +455,6 @@ func main() {
 			cfg.Log = os.Stderr
 		}
 		err = a.chaos(ctx, cfg)
-	case "profile":
-		err = a.profile(*profOut, *cpuProf, *memProf)
 	case "serve":
 		err = a.serveCmd(ctx, *addr, serve.Config{
 			Workers:         *workers,

@@ -10,29 +10,9 @@ import (
 	"testing"
 
 	"tivapromi/internal/campaign"
-	"tivapromi/internal/dram"
+	"tivapromi/internal/chaostest"
 	"tivapromi/internal/sim"
 )
-
-// testEval shrinks the evaluation so the full `all` pipeline runs in
-// seconds: one seed, one window, and — crucially — the security probes
-// at the scaled device instead of the paper's full Table I scale.
-func testEval() campaign.Eval {
-	ev := campaign.DefaultEval()
-	ev.SeedsPerPoint = 1
-	ev.Base.Windows = 1
-	ev.Trials = 2
-	// Quarter the scaled device again: the pipeline's structure is what
-	// is under test here, not the physics.
-	p := dram.ScaledParams()
-	p.RowsPerBank /= 4
-	p.RefInt /= 4
-	p.FlipThreshold /= 4
-	ev.Base.Params = p
-	ev.Probe = p
-	ev.Thresholds = []uint32{p.FlipThreshold, p.FlipThreshold / 2}
-	return ev
-}
 
 func newTestApp(ev campaign.Eval, workers int) (*app, *bytes.Buffer) {
 	var buf bytes.Buffer
@@ -52,7 +32,7 @@ func TestAllByteIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation pipeline; skipped in -short")
 	}
-	ev := testEval()
+	ev := chaostest.TestScaleEval()
 	run := func(workers int) string {
 		a, buf := newTestApp(ev, workers)
 		if err := a.runSections(context.Background(), sectionNames()); err != nil {
@@ -85,7 +65,7 @@ func TestKilledCampaignResumesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation pipeline; skipped in -short")
 	}
-	ev := testEval()
+	ev := chaostest.TestScaleEval()
 
 	// Reference: no checkpoint at all.
 	ref, refBuf := newTestApp(ev, 4)
@@ -150,7 +130,7 @@ func TestResumeWithMoreSeedsRendersFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three-seed fig4 sweeps; skipped in -short")
 	}
-	narrow, wide := testEval(), testEval()
+	narrow, wide := chaostest.TestScaleEval(), chaostest.TestScaleEval()
 	narrow.SeedsPerPoint, wide.SeedsPerPoint = 1, 3
 
 	fresh, freshBuf := newTestApp(wide, 2)
@@ -203,7 +183,7 @@ func (w *cancelAfterLines) Write(p []byte) (int, error) {
 // TestSingleSectionHasNoTrailingBlank pins the CLI formatting contract:
 // one section renders without the blank separator `all` appends.
 func TestSingleSectionHasNoTrailingBlank(t *testing.T) {
-	a, buf := newTestApp(testEval(), 2)
+	a, buf := newTestApp(chaostest.TestScaleEval(), 2)
 	if err := a.runSections(context.Background(), []string{"table2"}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,4 +247,43 @@ func firstDiff(a, b string) string {
 		return "outputs differ in length"
 	}
 	return "outputs identical"
+}
+
+// TestParseGeometry pins the -geometry grammar: exactly four decimal
+// fields, nothing after them, and a refresh interval that divides the
+// row count.
+func TestParseGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		spec       string
+		ok         bool
+		rows, ref  int
+		ranks, bgs int
+	}{
+		{spec: "1x8x4x65536", ok: true, rows: 65536, ref: 8192, ranks: 1, bgs: 8},
+		{spec: "2x4x4x65536", ok: true, rows: 65536, ref: 8192, ranks: 2, bgs: 4},
+		{spec: "1x8x4x65536junk"},
+		{spec: "1x8x4x65536x9"},
+		{spec: "1x8x4"},
+		{spec: "1x8x4x"},
+		// Not a multiple of the default RefInt: an eighth of the rows.
+		{spec: "1x8x4x1000", ok: true, rows: 1000, ref: 125, ranks: 1, bgs: 8},
+		// rows/8 = 12 does not divide 100 either: Validate refuses.
+		{spec: "1x8x4x100"},
+	} {
+		p, err := parseGeometry(tc.spec)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("parseGeometry(%q) accepted %+v, want an error", tc.spec, p)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("parseGeometry(%q): %v", tc.spec, err)
+			continue
+		}
+		if p.RowsPerBank != tc.rows || p.RefInt != tc.ref || p.Ranks != tc.ranks || p.BankGroups != tc.bgs || p.Banks != 4 {
+			t.Errorf("parseGeometry(%q) = ranks %d groups %d banks %d rows %d refint %d, want %d/%d/4/%d/%d",
+				tc.spec, p.Ranks, p.BankGroups, p.Banks, p.RowsPerBank, p.RefInt, tc.ranks, tc.bgs, tc.rows, tc.ref)
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tivapromi/internal/chaostest"
 	"tivapromi/internal/obs"
 )
 
@@ -18,7 +19,7 @@ import (
 // strictly a write-only tap — if instrumentation ever feeds back into a
 // simulation decision, a command buffer, or render order, this fails.
 func TestObsNeverPerturbsResults(t *testing.T) {
-	ev := testEval()
+	ev := chaostest.TestScaleEval()
 	names := []string{"table2", "flooding", "aggressors"}
 
 	run := func(obsOn bool) string {
@@ -69,7 +70,7 @@ func TestObsArtifactsWritten(t *testing.T) {
 
 	// flooding actually simulates (table2 is analytic and would record no
 	// spans), so the trace carries cell and run-attempt spans.
-	a, _ := newTestApp(testEval(), 2)
+	a, _ := newTestApp(chaostest.TestScaleEval(), 2)
 	if err := a.runSections(context.Background(), []string{"flooding"}); err != nil {
 		t.Fatal(err)
 	}

@@ -105,11 +105,12 @@ func TestScaleEval() campaign.Eval {
 // (sweep seed, probe, output) gets exercised.
 func DefaultSections() []string { return []string{"table2", "table3", "flooding"} }
 
-// chaosOdds is the per-operation fault mix one torture cycle runs under.
+// ChaosOdds is the per-operation fault mix one torture cycle runs under.
 // The rates are deliberately moderate: high enough that a multi-commit
 // cycle reliably draws several faults, low enough that checkpoints still
-// make forward progress between failures.
-func chaosOdds(seed uint64) iofault.ChaosConfig {
+// make forward progress between failures. The serving torture
+// (internal/servetest) runs its chaos phase under the same mix.
+func ChaosOdds(seed uint64) iofault.ChaosConfig {
 	return iofault.ChaosConfig{
 		Seed:       seed,
 		TornWrite:  0.04,
@@ -189,7 +190,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			return rep, err
 		}
 		rep.Cycles++
-		fsys := iofault.NewChaos(nil, chaosOdds(master.Uint64()))
+		fsys := iofault.NewChaos(nil, ChaosOdds(master.Uint64()))
 		killAt := 1 + rng.Intn(master, 12)
 		cycleCtx, cancel := context.WithCancel(ctx)
 		killed := false

@@ -74,7 +74,7 @@ func TestTortureRunKillScheduleReproducible(t *testing.T) {
 }
 
 func TestChaosOddsSeeded(t *testing.T) {
-	if chaosOdds(1).Seed != 1 || chaosOdds(9).Seed != 9 {
-		t.Fatal("chaosOdds does not thread the cycle seed")
+	if ChaosOdds(1).Seed != 1 || ChaosOdds(9).Seed != 9 {
+		t.Fatal("ChaosOdds does not thread the cycle seed")
 	}
 }

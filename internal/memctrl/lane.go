@@ -117,8 +117,8 @@ func (l *Lane) SetAccessTick(fn func()) {
 // with no access tick installed is one compare and two increments.
 // Everything else — including hits when a fault injector needs its
 // per-access tick — takes the full path. Writes and reads have identical
-// Row-Hammer behavior.
-func (l *Lane) Access(row int32, write bool) {
+// Row-Hammer behavior, so an access carries no direction.
+func (l *Lane) Access(row int32) {
 	if l.hitRow == row {
 		l.stats.Accesses++
 		l.stats.RowHits++

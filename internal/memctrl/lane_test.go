@@ -56,9 +56,9 @@ func TestLaneRejectsMultiBankDevice(t *testing.T) {
 
 func TestLaneRowBufferTracking(t *testing.T) {
 	l := newLane(t, nil)
-	l.Access(5, false)
-	l.Access(5, true) // hit: reads and writes share the row buffer
-	l.Access(6, false)
+	l.Access(5)
+	l.Access(5) // hit
+	l.Access(6)
 	s := l.Stats()
 	if s.Accesses != 3 || s.RowHits != 1 || s.RowMisses != 2 {
 		t.Fatalf("stats = %+v, want 3 accesses, 1 hit, 2 misses", s)
@@ -80,7 +80,7 @@ func TestLaneClosedPageActivatesEveryAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		l.Access(9, false)
+		l.Access(9)
 	}
 	if s := l.Stats(); s.RowHits != 0 || s.RowMisses != 4 {
 		t.Fatalf("closed-page stats = %+v, want 0 hits, 4 misses", s)
@@ -90,7 +90,7 @@ func TestLaneClosedPageActivatesEveryAccess(t *testing.T) {
 func TestLaneCatchUpFiresBoundariesLazily(t *testing.T) {
 	r := &recorder{}
 	l := newLane(t, r)
-	l.Access(1, false)
+	l.Access(1)
 	if r.refs != 0 {
 		t.Fatalf("boundary fired without CatchUp: %d", r.refs)
 	}
@@ -110,9 +110,9 @@ func TestLaneCatchUpFiresBoundariesLazily(t *testing.T) {
 
 func TestLaneRefreshClosesRow(t *testing.T) {
 	l := newLane(t, nil)
-	l.Access(7, false)
+	l.Access(7)
 	l.CatchUp(1)
-	l.Access(7, false) // row was precharged by the refresh: a miss again
+	l.Access(7) // row was precharged by the refresh: a miss again
 	if s := l.Stats(); s.RowMisses != 2 || s.RowHits != 0 {
 		t.Fatalf("stats = %+v, want 2 misses after refresh closed the row", s)
 	}
@@ -131,7 +131,7 @@ func TestLaneNewWindowAfterFullWindow(t *testing.T) {
 func TestLaneOverflowStalls(t *testing.T) {
 	f := &flooder{n: DefaultConfig().PendingCap + 3}
 	l := newLane(t, f)
-	l.Access(10, false)
+	l.Access(10)
 	s := l.Stats()
 	if s.Overflows != 3 {
 		t.Fatalf("overflows = %d, want 3", s.Overflows)
@@ -147,12 +147,12 @@ func TestLaneCommandFilter(t *testing.T) {
 	l := newLane(t, f)
 	mode := Drop
 	l.SetCommandFilter(func(mitigation.Command) Disposition { return mode })
-	l.Access(10, false)
+	l.Access(10)
 	if s := l.Stats(); s.DroppedCmds != 1 || s.ActN != 0 {
 		t.Fatalf("after drop: %+v", l.Stats())
 	}
 	mode = Delay
-	l.Access(11, false)
+	l.Access(11)
 	if s := l.Stats(); s.DelayedCmds != 1 || s.ActN != 0 {
 		t.Fatalf("after delay: %+v", l.Stats())
 	}
@@ -168,7 +168,7 @@ func TestLaneAccessTick(t *testing.T) {
 	ticks := 0
 	l.SetAccessTick(func() { ticks++ })
 	for i := 0; i < 5; i++ {
-		l.Access(int32(i), false)
+		l.Access(int32(i))
 	}
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
@@ -180,16 +180,16 @@ func TestLaneAccessTick(t *testing.T) {
 // hits again once the tick is removed.
 func TestLaneAccessTickOnRowHits(t *testing.T) {
 	l := newLane(t, nil)
-	l.Access(7, false) // opens row 7
+	l.Access(7) // opens row 7
 	ticks := 0
 	l.SetAccessTick(func() { ticks++ })
-	l.Access(7, false)
-	l.Access(7, false)
+	l.Access(7)
+	l.Access(7)
 	if ticks != 2 {
 		t.Fatalf("ticks on row hits = %d, want 2", ticks)
 	}
 	l.SetAccessTick(nil)
-	l.Access(7, false)
+	l.Access(7)
 	if s := l.Stats(); ticks != 2 || s.Accesses != 4 || s.RowHits != 3 || s.RowMisses != 1 {
 		t.Fatalf("after removing the tick: ticks %d, stats %+v; want 2 ticks, 4 accesses, 3 hits, 1 miss", ticks, s)
 	}
@@ -200,7 +200,7 @@ func TestLaneCommandHookSeesCommands(t *testing.T) {
 	l := newLane(t, f)
 	var seen []mitigation.Command
 	l.SetCommandHook(func(c mitigation.Command) { seen = append(seen, c) })
-	l.Access(10, false)
+	l.Access(10)
 	if len(seen) != 2 {
 		t.Fatalf("hook saw %d commands, want 2", len(seen))
 	}
@@ -221,7 +221,7 @@ func TestLaneMirrorSeesWhatTheDeviceSees(t *testing.T) {
 	}
 	for i := 0; i < 3000; i++ {
 		l.CatchUp(i / 40)
-		l.Access(int32(i*7%97), false)
+		l.Access(int32(i * 7 % 97))
 	}
 	l.CatchUp(80)
 	own := l.Device()

@@ -213,8 +213,9 @@ func (s *Scheduler) Cycle() int64 { return s.cycle }
 func (s *Scheduler) QueueLen() int { return s.queued }
 
 // Enqueue adds a request; it reports false when the queue is full (the
-// front-end must stall).
-func (s *Scheduler) Enqueue(bank, row int, write bool) bool {
+// front-end must stall). Reads and writes schedule alike, so a request
+// carries no direction.
+func (s *Scheduler) Enqueue(bank, row int) bool {
 	if s.queued >= s.queueCap {
 		return false
 	}
@@ -470,12 +471,11 @@ func (s *Scheduler) Drain(maxCycles int64) error {
 // RunIntervals feeds requests from next() whenever the queue has room and
 // runs the clock, skipping idle cycles, until n refresh intervals have
 // elapsed.
-func (s *Scheduler) RunIntervals(n int, next func() (bank, row int, write bool)) {
+func (s *Scheduler) RunIntervals(n int, next func() (bank, row int)) {
 	target := s.dev.Interval() + n
 	for s.dev.Interval() < target {
 		for s.queued < s.queueCap {
-			bank, row, write := next()
-			s.Enqueue(bank, row, write)
+			s.Enqueue(next())
 		}
 		s.skipIdle(s.nextRef)
 		s.Tick()

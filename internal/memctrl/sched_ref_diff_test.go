@@ -50,7 +50,7 @@ func TestBankMajorMatchesLinearScan(t *testing.T) {
 	}
 	streams := []struct {
 		name string
-		mk   func(dram.Params, uint64) func() (int, int, bool)
+		mk   func(dram.Params, uint64) func() (int, int)
 	}{{"spec", specStream}, {"act-heavy", actHeavyStream}}
 
 	for _, g := range geometries {
@@ -134,7 +134,7 @@ func sameAsRef(t *testing.T, phase string, got *Scheduler, ref *refScheduler) {
 // n cycles, requiring after every cycle that each bank holds the same
 // requests (row and arrival cycle) in the same order: both schedulers
 // must serve, activate and precharge for the same request each cycle.
-func lockstep(t *testing.T, got *Scheduler, ref *refScheduler, gotNext, refNext func() (int, int, bool), n int64) {
+func lockstep(t *testing.T, got *Scheduler, ref *refScheduler, gotNext, refNext func() (int, int), n int64) {
 	t.Helper()
 	at := make([]int, len(got.banks))
 	for end := got.Cycle() + n; got.Cycle() < end; {

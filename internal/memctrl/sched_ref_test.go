@@ -15,9 +15,8 @@ import (
 
 // refRequest is one memory request for the reference scheduler.
 type refRequest struct {
-	Bank  int
-	Row   int
-	Write bool
+	Bank int
+	Row  int
 
 	arrived int64
 }
@@ -95,14 +94,14 @@ func (s *refScheduler) QueueLen() int { return len(s.queue) }
 
 // Enqueue adds a request; it reports false when the queue is full (the
 // front-end must stall).
-func (s *refScheduler) Enqueue(bank, row int, write bool) bool {
+func (s *refScheduler) Enqueue(bank, row int) bool {
 	if len(s.queue) >= s.queueCap {
 		return false
 	}
 	if bank < 0 || bank >= len(s.banks) || row < 0 || row >= s.dev.Params().RowsPerBank {
 		panic(fmt.Sprintf("memctrl: request out of range: bank %d row %d", bank, row))
 	}
-	s.queue = append(s.queue, refRequest{Bank: bank, Row: row, Write: write, arrived: s.cycle})
+	s.queue = append(s.queue, refRequest{Bank: bank, Row: row, arrived: s.cycle})
 	b := &s.banks[bank]
 	b.reqs++
 	if b.openRow == int32(row) {
@@ -291,12 +290,11 @@ func (s *refScheduler) Drain(maxCycles int64) error {
 // RunIntervals feeds requests from next() whenever the queue has room and
 // runs the clock, skipping idle cycles, until n refresh intervals have
 // elapsed.
-func (s *refScheduler) RunIntervals(n int, next func() (bank, row int, write bool)) {
+func (s *refScheduler) RunIntervals(n int, next func() (bank, row int)) {
 	target := s.dev.Interval() + n
 	for s.dev.Interval() < target {
 		for len(s.queue) < s.queueCap {
-			bank, row, write := next()
-			s.Enqueue(bank, row, write)
+			s.Enqueue(next())
 		}
 		s.skipIdle(s.nextRef)
 		s.Tick()

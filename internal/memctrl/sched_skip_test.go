@@ -18,7 +18,7 @@ var errNotDrained = errors.New("not drained")
 
 // tickRunIntervals is the tick-by-tick reference for RunIntervals: fill
 // the queue, then advance exactly one cycle, every cycle.
-func tickRunIntervals(s *Scheduler, n int, next func() (int, int, bool)) {
+func tickRunIntervals(s *Scheduler, n int, next func() (int, int)) {
 	target := s.dev.Interval() + n
 	for s.dev.Interval() < target {
 		for s.QueueLen() < s.queueCap {
@@ -42,23 +42,23 @@ func tickDrain(s *Scheduler, maxCycles int64) error {
 	return nil
 }
 
-func specStream(p dram.Params, seed uint64) func() (int, int, bool) {
+func specStream(p dram.Params, seed uint64) func() (int, int) {
 	gen := workload.SPECMix(p.TotalBanks(), p.RowsPerBank, seed)
-	return func() (int, int, bool) {
+	return func() (int, int) {
 		a := gen.Next()
-		return a.Bank, a.Row, a.Write
+		return a.Bank, a.Row
 	}
 }
 
 // actHeavyStream alternates each bank between distant random rows, so
 // nearly every request needs its own PRE+ACT and the four-ACT window
 // paces the bus.
-func actHeavyStream(p dram.Params, seed uint64) func() (int, int, bool) {
+func actHeavyStream(p dram.Params, seed uint64) func() (int, int) {
 	src := rng.NewXorShift64Star(seed)
 	banks := uint64(p.TotalBanks())
-	return func() (int, int, bool) {
+	return func() (int, int) {
 		v := src.Uint64()
-		return int(v % banks), int((v >> 16) % uint64(p.RowsPerBank)), v>>63 == 1
+		return int(v % banks), int((v >> 16) % uint64(p.RowsPerBank))
 	}
 }
 
@@ -84,7 +84,7 @@ func TestSkipMatchesTickByTick(t *testing.T) {
 	}
 	streams := []struct {
 		name string
-		mk   func(dram.Params, uint64) func() (int, int, bool)
+		mk   func(dram.Params, uint64) func() (int, int)
 	}{{"spec", specStream}, {"act-heavy", actHeavyStream}}
 
 	for _, g := range geometries {

@@ -45,7 +45,7 @@ func TestTimingValidate(t *testing.T) {
 
 func TestSingleRequestTiming(t *testing.T) {
 	s, dev := newSched(t, nil)
-	s.Enqueue(0, 100, false)
+	s.Enqueue(0, 100)
 	if err := s.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRowHitsAreCheaper(t *testing.T) {
 	s, _ := newSched(t, nil)
 	// Same row back to back: one ACT, three column commands.
 	for i := 0; i < 3; i++ {
-		s.Enqueue(0, 100, false)
+		s.Enqueue(0, 100)
 	}
 	if err := s.Drain(10_000); err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestRowHitsAreCheaper(t *testing.T) {
 
 func TestRowConflictPrecharges(t *testing.T) {
 	s, _ := newSched(t, nil)
-	s.Enqueue(0, 100, false)
-	s.Enqueue(0, 200, false)
+	s.Enqueue(0, 100)
+	s.Enqueue(0, 200)
 	if err := s.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +99,12 @@ func TestFRFCFSPrefersRowHits(t *testing.T) {
 	s, _ := newSched(t, nil)
 	// Open row 100, then queue a conflicting request followed by a row
 	// hit: the hit must be served first (FR-FCFS reordering).
-	s.Enqueue(0, 100, false)
+	s.Enqueue(0, 100)
 	if err := s.Drain(10_000); err != nil {
 		t.Fatal(err)
 	}
-	s.Enqueue(0, 200, false) // conflict (older)
-	s.Enqueue(0, 100, false) // row hit (younger)
+	s.Enqueue(0, 200) // conflict (older)
+	s.Enqueue(0, 100) // row hit (younger)
 	for s.QueueLen() == 2 {
 		s.Tick()
 	}
@@ -124,7 +124,7 @@ func TestTFAWLimitsActivationBursts(t *testing.T) {
 	// in both banks to force many ACTs and verify the stall counter and
 	// window pacing engage under an ACT-heavy pattern.
 	for i := 0; i < 8; i++ {
-		s.Enqueue(i%2, 100+100*i, false)
+		s.Enqueue(i%2, 100+100*i)
 	}
 	if err := s.Drain(100_000); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRefreshFiresOnSchedule(t *testing.T) {
 	s, dev := newSched(t, nil)
 	for dev.Interval() < 3 {
 		if s.QueueLen() < 4 {
-			s.Enqueue(0, 100, false)
+			s.Enqueue(0, 100)
 		}
 		s.Tick()
 	}
@@ -159,7 +159,7 @@ func TestMitigationPathThroughScheduler(t *testing.T) {
 	// Hammer two alternating rows; CRA triggers every 50 activations per
 	// row and its act_n must execute via the maintenance path.
 	for i := 0; i < 300; i++ {
-		s.Enqueue(0, 100+100*(i&1), false)
+		s.Enqueue(0, 100+100*(i&1))
 		if err := s.Drain(1 << 20); err != nil {
 			t.Fatal(err)
 		}
@@ -178,11 +178,11 @@ func TestMitigationPathThroughScheduler(t *testing.T) {
 func TestEnqueueBounds(t *testing.T) {
 	s, _ := newSched(t, nil)
 	for i := 0; i < 16; i++ {
-		if !s.Enqueue(0, i, false) {
+		if !s.Enqueue(0, i) {
 			t.Fatal("queue rejected below capacity")
 		}
 	}
-	if s.Enqueue(0, 99, false) {
+	if s.Enqueue(0, 99) {
 		t.Fatal("queue accepted beyond capacity")
 	}
 	defer func() {
@@ -191,7 +191,7 @@ func TestEnqueueBounds(t *testing.T) {
 		}
 	}()
 	s2, _ := newSched(t, nil)
-	s2.Enqueue(0, 1<<30, false)
+	s2.Enqueue(0, 1<<30)
 }
 
 func TestSchedulerMatchesFastPathActivationStats(t *testing.T) {
@@ -203,11 +203,11 @@ func TestSchedulerMatchesFastPathActivationStats(t *testing.T) {
 	// single seeds land anywhere in ≈0.6–1.0), so the validation pins the
 	// mean over several seeds rather than one lucky draw.
 	p := testParams()
-	mkStream := func(seed uint64) func() (int, int, bool) {
+	mkStream := func(seed uint64) func() (int, int) {
 		gen := workload.SPECMix(p.Banks, p.RowsPerBank, seed)
-		return func() (int, int, bool) {
+		return func() (int, int) {
 			a := gen.Next()
-			return a.Bank, a.Row, a.Write
+			return a.Bank, a.Row
 		}
 	}
 
@@ -219,7 +219,11 @@ func TestSchedulerMatchesFastPathActivationStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast.RunIntervals(64, mkStream(seed))
+		next := mkStream(seed)
+		fast.RunIntervals(64, func() (int, int, bool) {
+			bank, row := next()
+			return bank, row, false
+		})
 
 		devCyc, _ := dram.New(p, nil)
 		cyc, err := NewScheduler(DDR42400(), devCyc, nil, 16)
@@ -257,8 +261,8 @@ func TestBankGroupSpacing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Enqueue(0, 100, false)
-		s.Enqueue(b2, 100, false)
+		s.Enqueue(0, 100)
+		s.Enqueue(b2, 100)
 		var first, second int64
 		for second == 0 {
 			before := s.Stats().RowMisses

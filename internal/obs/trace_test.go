@@ -81,7 +81,7 @@ func TestTracerOffIsNoop(t *testing.T) {
 	Instant("x", "y")
 	SpanBetween("x", "y", time.Now(), time.Now())
 	// Nothing to assert beyond "did not panic"; allocation behavior is
-	// covered by the hotpath alloc gate.
+	// covered by the act-path alloc gate (TestActPathAllocFree).
 }
 
 func TestTracerTidReuse(t *testing.T) {

@@ -250,27 +250,11 @@ func RunServeChaos(ctx context.Context, cfg ChaosConfig) (ChaosReport, error) {
 	master := rng.NewXorShift64Star(cfg.Seed ^ 0xc4a5d0)
 
 	// Phase 1: golden bytes per variant.
-	golden := make(map[string][]byte, len(variants))
-	for _, names := range variants[:min(len(variants), tenants)] {
-		key := strings.Join(names, "+")
-		if _, ok := golden[key]; ok {
-			continue
-		}
-		spec, gev, err := serve.BuildCampaign(serve.Request{Sections: names}, ev, serve.Limits{})
-		if err != nil {
-			return rep, fmt.Errorf("servetest: golden %s: %w", key, err)
-		}
-		rs, err := campaign.Run(ctx, spec, campaign.Options{Workers: 1})
-		if err != nil {
-			return rep, fmt.Errorf("servetest: golden %s: %w", key, err)
-		}
-		text, _, err := serve.RenderReport(gev, rs, names)
-		if err != nil {
-			return rep, fmt.Errorf("servetest: golden %s render: %w", key, err)
-		}
-		golden[key] = text
-		rep.Golden++
+	golden, err := goldens(ctx, variants[:min(len(variants), tenants)], ev)
+	if err != nil {
+		return rep, err
 	}
+	rep.Golden = len(golden)
 	logf(cfg.Log, "servetest: serve-chaos: %d golden variant(s)", rep.Golden)
 
 	// Phase 2, life A: journaled server on a power-off filesystem. No

@@ -231,30 +231,12 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	ckpt := filepath.Join(cfg.Dir, "serve-cache.json")
 	master := rng.NewXorShift64Star(cfg.Seed ^ 0x5e47e57)
 
-	// Phase 1: golden bytes per variant, computed the way the server
-	// computes them (same spec expansion, same renderer) but serially,
-	// with no checkpoint and no faults.
-	golden := make(map[string][]byte, len(variants))
-	for _, names := range variants {
-		key := strings.Join(names, "+")
-		if _, ok := golden[key]; ok {
-			continue
-		}
-		spec, gev, err := serve.BuildCampaign(serve.Request{Sections: names}, ev, serve.Limits{})
-		if err != nil {
-			return rep, fmt.Errorf("servetest: golden %s: %w", key, err)
-		}
-		rs, err := campaign.Run(ctx, spec, campaign.Options{Workers: 1})
-		if err != nil {
-			return rep, fmt.Errorf("servetest: golden %s: %w", key, err)
-		}
-		text, _, err := serve.RenderReport(gev, rs, names)
-		if err != nil {
-			return rep, fmt.Errorf("servetest: golden %s render: %w", key, err)
-		}
-		golden[key] = text
-		rep.Variants++
+	// Phase 1: golden bytes per variant.
+	golden, err := goldens(ctx, variants, ev)
+	if err != nil {
+		return rep, err
 	}
+	rep.Variants = len(golden)
 	logf(cfg.Log, "servetest: %d golden variant(s) computed", rep.Variants)
 
 	// Phase 2: chaos server, concurrent tenants, mid-flight kill.
@@ -282,19 +264,32 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	return rep, nil
 }
 
-// chaosOdds mirrors the chaostest fault mix: high enough to draw real
-// faults every phase, low enough that checkpoints make progress.
-func chaosOdds(seed uint64) iofault.ChaosConfig {
-	return iofault.ChaosConfig{
-		Seed:       seed,
-		TornWrite:  0.04,
-		ShortWrite: 0.03,
-		WriteErr:   0.03,
-		NoSpace:    0.02,
-		RenameFail: 0.03,
-		FsyncLoss:  0.03,
-		BitFlip:    0.02,
+// goldens renders each distinct variant the way the server renders it
+// (same spec expansion, same renderer) but serially, with no checkpoint
+// and no faults: the bytes every served report must match, keyed by the
+// variant's section names joined with "+".
+func goldens(ctx context.Context, variants [][]string, ev campaign.Eval) (map[string][]byte, error) {
+	golden := make(map[string][]byte, len(variants))
+	for _, names := range variants {
+		key := strings.Join(names, "+")
+		if _, ok := golden[key]; ok {
+			continue
+		}
+		spec, gev, err := serve.BuildCampaign(serve.Request{Sections: names}, ev, serve.Limits{})
+		if err != nil {
+			return nil, fmt.Errorf("servetest: golden %s: %w", key, err)
+		}
+		rs, err := campaign.Run(ctx, spec, campaign.Options{Workers: 1})
+		if err != nil {
+			return nil, fmt.Errorf("servetest: golden %s: %w", key, err)
+		}
+		text, _, err := serve.RenderReport(gev, rs, names)
+		if err != nil {
+			return nil, fmt.Errorf("servetest: golden %s render: %w", key, err)
+		}
+		golden[key] = text
 	}
+	return golden, nil
 }
 
 // runChaosPhase drives the chaos server with concurrent tenants until
@@ -303,7 +298,7 @@ func chaosOdds(seed uint64) iofault.ChaosConfig {
 // job may fail or be skipped — only that the server survives to be
 // killed and its checkpoint writes happened through the chaos FS.
 func runChaosPhase(ctx context.Context, cfg Config, rep *Report, tenants, workers, queueDepth int, variants [][]string, ev campaign.Eval, ckpt string, master *rng.XorShift64Star) error {
-	fsys := iofault.NewChaos(nil, chaosOdds(master.Uint64()))
+	fsys := iofault.NewChaos(nil, chaostest.ChaosOdds(master.Uint64()))
 	killAt := 1 + rng.Intn(master, 12)
 	killCh := make(chan struct{})
 	var killOnce sync.Once

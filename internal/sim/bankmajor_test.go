@@ -21,17 +21,16 @@ import (
 // refresh interval of an access is not stored: it follows from the
 // access index.
 type arrivalBlock struct {
-	row   [blockLen]int32
-	bank  [blockLen]int32
-	write [blockLen]bool
+	row  [blockLen]int32
+	bank [blockLen]int32
 }
 
 // fillArrival generates the next n accesses into blk.
 func (st *stream) fillArrival(blk *arrivalBlock, n int) {
-	rows, banks, writes := blk.row[:n], blk.bank[:n], blk.write[:n]
+	rows, banks := blk.row[:n], blk.bank[:n]
 	for j := range rows {
 		a := st.gen()
-		rows[j], banks[j], writes[j] = int32(a.Row), int32(a.Bank), a.Write
+		rows[j], banks[j] = int32(a.Row), int32(a.Bank)
 	}
 }
 
@@ -43,7 +42,7 @@ func (e *runEnv) serveArrival(blk *arrivalBlock, base, n int) {
 	api := e.src.api
 	iv, rem := int32(base/api), api-base%api
 	lanes, laneIv := e.lanes, e.laneIv
-	rows, banks, writes := blk.row[:n], blk.bank[:n], blk.write[:n]
+	rows, banks := blk.row[:n], blk.bank[:n]
 	for j, row := range rows {
 		if rem == 0 {
 			iv++
@@ -56,7 +55,7 @@ func (e *runEnv) serveArrival(blk *arrivalBlock, base, n int) {
 			l.CatchUp(int(iv))
 			laneIv[b] = iv
 		}
-		l.Access(row, writes[j])
+		l.Access(row)
 	}
 }
 

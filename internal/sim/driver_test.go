@@ -167,7 +167,8 @@ func TestRunCtxFaultPlansMatchGoldenTwoBank(t *testing.T) {
 // and for groups at the cap: a run four times as long may allocate only
 // a bounded handful more objects per member (table growth that
 // settles), never a number that scales with the accesses.
-// TestActPathAllocFree in internal/hotpath covers the mitigations alone.
+// TestActPathAllocFree in internal/mitigation/all covers the mitigations
+// alone.
 func TestRunCtxAllocsIndependentOfLength(t *testing.T) {
 	const maxExtra = 16
 	ctx := context.Background()

@@ -79,7 +79,7 @@ func LatencyProbeCtx(ctx context.Context, cfg Config, technique string) (Latency
 
 // newLatencyStream builds the same mixed traffic Run uses, as a
 // scheduler feed.
-func newLatencyStream(cfg Config) (func() (int, int, bool), error) {
+func newLatencyStream(cfg Config) (func() (int, int), error) {
 	c := cfg
 	c.Windows = 1
 	mix := workload.SPECMix(c.Params.TotalBanks(), c.Params.RowsPerBank, c.Seed)
@@ -91,12 +91,12 @@ func newLatencyStream(cfg Config) (func() (int, int, bool), error) {
 	}
 	src := rng.NewXorShift64Star(c.Seed ^ 0x1a7e)
 	share := uint64(c.AttackShare * float64(1<<32))
-	return func() (int, int, bool) {
+	return func() (int, int) {
 		if src.Uint64()&0xffffffff < share {
 			a := att.Next()
-			return a.Bank, a.Row, a.Write
+			return a.Bank, a.Row
 		}
 		a := mix.Next()
-		return a.Bank, a.Row, a.Write
+		return a.Bank, a.Row
 	}, nil
 }

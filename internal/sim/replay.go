@@ -143,7 +143,7 @@ func RecordTrace(cfg Config, w *trace.Writer) error {
 			catchUpAll(iv)
 		}
 		rem--
-		env.lanes[a.Bank].Access(int32(a.Row), a.Write)
+		env.lanes[a.Bank].Access(int32(a.Row))
 	}
 	catchUpAll(src.intervals)
 	if werr != nil {

@@ -10,7 +10,7 @@ import (
 // TestScaleSmokeHeapBounded is the population-scale memory gate: a
 // full-DIMM geometry (32 banks, 2M rows) must simulate with heap bounded
 // by the rows the attacker-dominated workload touches, not the
-// population. CI's scale-smoke job runs exactly this test.
+// population. CI's parallel-gates job runs exactly this test.
 func TestScaleSmokeHeapBounded(t *testing.T) {
 	p := dram.FullDIMMParams()
 	if !p.Sparse() {

@@ -293,8 +293,7 @@ const blockLen = 1024
 // that every member serves the block one bank at a time. The refresh
 // interval of an access is not stored: it follows from the access index.
 type accessBlock struct {
-	row   [blockLen]int32
-	write [blockLen]bool
+	row [blockLen]int32
 	// next is the block index of the same bank's next access, -1 after
 	// the bank's last one in the block.
 	next [blockLen]int16
@@ -671,7 +670,7 @@ func (e *runEnv) serve(blk *accessBlock, base int) {
 				l.CatchUp(int(cur))
 				brk = int(cur+1)*api - base
 			}
-			l.Access(blk.row[j&(blockLen-1)], blk.write[j&(blockLen-1)])
+			l.Access(blk.row[j&(blockLen-1)])
 		}
 		laneIv[r.bank] = cur
 	}
@@ -816,10 +815,10 @@ func newStream(cfg Config, api int) (*stream, error) {
 // blockLen-1 changes nothing but drops the bounds checks.
 func (st *stream) fill(blk *accessBlock, n int) {
 	last, runs := blk.last, blk.runs[:0]
-	rows, writes := blk.row[:n], blk.write[:n]
+	rows := blk.row[:n]
 	for j := range rows {
 		a := st.gen()
-		rows[j], writes[j] = int32(a.Row), a.Write
+		rows[j] = int32(a.Row)
 		if p := last[a.Bank]; p < 0 {
 			runs = append(runs, bankRun{bank: int32(a.Bank), head: int16(j)})
 		} else {
