@@ -31,11 +31,11 @@ test-debugasserts:
 # Race-detect the concurrent machinery: the hardened seed-sweep runner,
 # the fault-injection framework it drives, the campaign scheduler, the
 # verified record log under the checkpoint and journal, the chaos I/O
-# seam and torture harness, the multi-tenant campaign server and its
-# serving torture harness, and the hot-path structures the parallel
+# seam, the torture harness and its three crash protocols, the
+# multi-tenant campaign server, and the hot-path structures the parallel
 # campaign touches (the act-path harness in internal/mitigation/all).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/recordlog/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/servetest/... ./internal/mitigation/all/... ./internal/bitset/... ./internal/obs/...
+	$(GO) test -race ./internal/sim/... ./internal/faults/... ./internal/campaign/... ./internal/recordlog/... ./internal/iofault/... ./internal/chaostest/... ./internal/serve/... ./internal/mitigation/all/... ./internal/bitset/... ./internal/obs/...
 
 # The full pre-merge gate: formatting, build, vet, tests (both assertion
 # modes), race tests.

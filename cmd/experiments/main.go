@@ -135,7 +135,6 @@ import (
 	"tivapromi/internal/obs"
 	"tivapromi/internal/report"
 	"tivapromi/internal/serve"
-	"tivapromi/internal/servetest"
 	"tivapromi/internal/sim"
 )
 
@@ -320,6 +319,9 @@ func (a *app) chaos(ctx context.Context, cfg chaostest.Config) error {
 		rep.Faults.Total(), rep.Faults.TornWrites, rep.Faults.ShortWrites,
 		rep.Faults.WriteErrs, rep.Faults.NoSpaceErrs, rep.Faults.RenameFails,
 		rep.Faults.FsyncLosses, rep.Faults.BitFlips, rep.Quarantined)
+	if err == nil {
+		err = rep.Check()
+	}
 	if err != nil {
 		return err
 	}
@@ -443,18 +445,22 @@ func main() {
 	switch cmd {
 	case "all":
 		err = a.runSections(ctx, sectionNames())
-	case "chaos":
+	case "chaos", "serve-chaos":
 		cfg := chaostest.Config{
 			Seed:    *chSeed,
-			Cycles:  *chCycles,
-			Corrupt: *chCorrupt,
 			Workers: *workers,
 			Dir:     *chDir,
+			Cycles:  *chCycles,
+			Corrupt: *chCorrupt,
 		}
 		if *progress {
 			cfg.Log = os.Stderr
 		}
-		err = a.chaos(ctx, cfg)
+		if cmd == "chaos" {
+			err = a.chaos(ctx, cfg)
+		} else {
+			err = a.serveChaos(ctx, cfg)
+		}
 	case "serve":
 		err = a.serveCmd(ctx, *addr, serve.Config{
 			Workers:         *workers,
@@ -470,16 +476,6 @@ func main() {
 			DrainTimeout:    *drainTO,
 			Log:             os.Stderr,
 		})
-	case "serve-chaos":
-		cfg := servetest.ChaosConfig{
-			Seed:    *chSeed,
-			Workers: *workers,
-			Dir:     *chDir,
-		}
-		if *progress {
-			cfg.Log = os.Stderr
-		}
-		err = a.serveChaos(ctx, cfg)
 	default:
 		if _, ok := report.Section(cmd); !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cmd)

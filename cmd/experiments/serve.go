@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"time"
 
+	"tivapromi/internal/chaostest"
 	"tivapromi/internal/serve"
-	"tivapromi/internal/servetest"
 )
 
 // serveCmd runs the multi-tenant campaign server until sigCtx dies
@@ -71,34 +70,24 @@ func (a *app) serveCmd(sigCtx context.Context, addr string, cfg serve.Config) er
 	return nil
 }
 
-// serveChaos runs the crash-durability torture harness
-// (internal/servetest.RunServeChaos) and prints its report: a journaled
-// server hard-killed at a seeded commit ordinal, its journal
-// tail torn, restarted, and held to the durability contract — every
-// accepted job recovered and re-rendered byte-identically, idempotent
-// re-POSTs answered with the original id and zero re-executions, and
-// the SSE resume protocol honest across the incarnation boundary.
-func (a *app) serveChaos(ctx context.Context, cfg servetest.ChaosConfig) error {
-	if cfg.Dir == "" {
-		dir, err := os.MkdirTemp("", "serve-chaos-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		cfg.Dir = dir
-	} else if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return err
-	}
-	rep, err := servetest.RunServeChaos(ctx, cfg)
+// serveChaos runs the crash-durability torture protocol
+// (chaostest.RunServeChaos) and prints its report: a journaled server
+// powered off at a seeded commit ordinal, its journal tail torn,
+// restarted, and held to the durability contract — every accepted job
+// recovered and re-rendered byte-identically, idempotent re-POSTs
+// answered with the original id and zero re-executions, and the SSE
+// resume protocol honest across the incarnation boundary.
+func (a *app) serveChaos(ctx context.Context, cfg chaostest.Config) error {
+	rep, err := chaostest.RunServeChaos(ctx, cfg)
 	fmt.Fprintf(a.stdout, "serve-chaos: seed %#x: %d accepted, killed=%v at commit %d, tampered=%v, %d recovered, %d/%d reports identical, %d idempotent replay(s), %d re-execution(s), snapshot-fallback=%v resume-checked=%v, %d corpse(s), %d leaked goroutine(s)\n",
 		cfg.Seed, rep.Submitted, rep.Killed, rep.KillOrdinal, rep.Tampered,
 		rep.Recovered, rep.Compared, rep.Submitted, rep.IdempotentReplays,
 		rep.ReExecutions, rep.SnapshotFallback, rep.ResumeChecked,
 		rep.Corpses, rep.LeakedGoroutines)
-	if err != nil {
-		return err
+	if err == nil {
+		err = rep.Check()
 	}
-	if err := rep.Check(); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(a.stdout, "serve-chaos: crash-durability contract holds")

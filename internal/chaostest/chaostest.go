@@ -1,17 +1,24 @@
-// Package chaostest is the crash-consistency torture harness: it runs a
-// real in-process campaign (actual simulation cells, actual checkpoint)
-// against the fault-injecting filesystem of internal/iofault, kills the
-// campaign at randomized checkpoint-commit boundaries, corrupts checkpoint
-// bytes between cycles, resumes from whatever survived, and finally
-// verifies that the resumed-and-finished report is byte-identical to an
-// undisturbed run.
+// Package chaostest is the crash torture harness: three protocols over
+// one kill/restart/compare kernel, each holding a real system to the
+// same standard — whatever crashed, the paper's report comes out byte
+// for byte as an undisturbed serial run renders it.
 //
-// Byte identity is the strongest end-to-end statement the persistence
-// layer can make: every salvage decision, every quarantine, every
-// re-executed seed must converge on exactly the output a never-failing
-// machine produces. The whole schedule — fault draws, kill points,
-// corruption offsets — derives from one master seed, so every torture
-// run is reproducible from its seed.
+//   - Run kills a live campaign at checkpoint-commit boundaries under
+//     injected write faults, corrupts the checkpoint between cycles, and
+//     resumes (campaign.go).
+//   - RunServe kills a campaign server under injected write faults,
+//     restarts it on the surviving shared cache, and demands converged
+//     resubmissions, load shedding and a clean drain (serve.go).
+//   - RunServeChaos powers off a journaled server, tears its journal
+//     tail, and demands the restarted server remember every accepted job
+//     (servechaos.go).
+//
+// The kernel is what the protocols share: one kill switch on the
+// fault-injecting filesystem of internal/iofault (arm), one runner for a
+// life that ends in that kill (life), one golden renderer (render), one
+// HTTP client (client.go), and one post-mortem. The whole schedule —
+// fault draws, kill ordinals, corruption offsets — derives from one
+// master seed, so every torture run is reproducible from its seed.
 package chaostest
 
 import (
@@ -19,66 +26,69 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"time"
 
 	"tivapromi/internal/campaign"
 	"tivapromi/internal/dram"
 	"tivapromi/internal/iofault"
-	"tivapromi/internal/report"
-	"tivapromi/internal/rng"
-	"tivapromi/internal/sim"
+	"tivapromi/internal/serve"
 )
 
-// Config tunes one torture run.
+// Config tunes one torture run of any protocol.
 type Config struct {
-	// Seed drives the whole torture schedule: fault probabilities draws,
-	// kill commit ordinals, and corruption offsets.
+	// Seed drives the whole torture schedule: fault draws, kill commit
+	// ordinals, and corruption offsets.
 	Seed uint64
-	// Cycles is the number of kill/resume cycles before the clean final
-	// run (≤ 0 means 3).
-	Cycles int
-	// Corrupt additionally flips one byte of the on-disk checkpoint
-	// between cycles, exercising the salvage/quarantine path on top of
-	// the injected write faults.
-	Corrupt bool
-	// Workers bounds campaign concurrency (0 = GOMAXPROCS).
+	// Workers bounds simulation concurrency: the campaign's (0 =
+	// GOMAXPROCS) or the server's shared pool (≤ 0 means 4).
 	Workers int
-	// Sections names the report sections forming the campaign (empty =
-	// a compact default mixing sweeps and probes).
-	Sections []string
-	// Eval is the evaluation scale; the zero value selects
-	// TestScaleEval, which keeps a full torture run in CI-sized time.
-	Eval campaign.Eval
-	// Dir is the working directory for the checkpoint and its
-	// quarantined corpses ("" = a fresh temp directory).
+	// Dir is the working directory for checkpoints, journals and their
+	// quarantined corpses ("" = a fresh temp directory, removed
+	// afterwards; any other path is created if missing and kept).
 	Dir string
 	// Log, when non-nil, receives the harness's progress narration.
 	Log io.Writer
+	// Cycles is the number of kill/resume cycles before the clean final
+	// run (≤ 0 means 3). Campaign protocol only.
+	Cycles int
+	// Corrupt additionally flips one byte of the on-disk checkpoint
+	// between cycles, exercising the salvage/quarantine path on top of
+	// the injected write faults. Campaign protocol only.
+	Corrupt bool
 }
 
-// Report summarizes one torture run.
-type Report struct {
-	// Cycles is the number of kill/resume cycles executed.
-	Cycles int
-	// Kills counts cycles the kill switch actually fired in (a cycle
-	// whose campaign finished before its kill ordinal counts as a
-	// survivor, not a kill).
-	Kills int
-	// Corruptions counts deliberate post-cycle byte flips applied to the
-	// on-disk checkpoint.
-	Corruptions int
-	// Faults aggregates every fault the chaos filesystem injected across
-	// all cycles.
-	Faults iofault.ChaosStats
-	// Quarantined counts `<checkpoint>.corrupt-*` files left behind by
-	// salvage — the forensic corpses of detected corruption.
-	Quarantined int
-	// GoldenBytes is the length of the undisturbed reference report.
-	GoldenBytes int
-	// Identical reports whether the final resumed run reproduced the
-	// reference byte for byte.
-	Identical bool
+const (
+	// tenants is the number of concurrent clients the serve protocols
+	// drive, one per variant.
+	tenants = 4
+	// serveWorkers is the servers' shared pool when Config.Workers ≤ 0.
+	serveWorkers = 4
+	// heapBudget bounds the post-run heap of a serve torture run: every
+	// tenant, both lives, all reports.
+	heapBudget = 512 << 20
+)
+
+// sections is the campaign protocol's section mix: FSM probes (table2),
+// seed sweeps plus security probes (table3), and the flooding trials —
+// every checkpoint entry kind (sweep seed, probe, output) gets exercised.
+var sections = []string{"table2", "table3", "flooding"}
+
+// variants are the section sets tenant i%len(variants) submits. They
+// overlap — tenants 0 and 1 share flooding cells, 1 and 3 share table2 —
+// so cross-tenant dedup has guaranteed work, and tenant 0 (the SSE
+// watcher's tenant) runs a campaign with real cells: table2 alone is an
+// empty spec and would emit no progress events to resume.
+var variants = [][]string{
+	{"flooding"},
+	{"table2", "flooding"},
+	{"table3"},
+	{"table2"},
 }
 
 // TestScaleEval is the quarter-scale evaluation the torture harness (and
@@ -99,17 +109,11 @@ func TestScaleEval() campaign.Eval {
 	return ev
 }
 
-// DefaultSections is the compact section mix the harness tortures by
-// default: FSM probes (table2), seed sweeps plus security probes
-// (table3), and the flooding trials — every checkpoint entry kind
-// (sweep seed, probe, output) gets exercised.
-func DefaultSections() []string { return []string{"table2", "table3", "flooding"} }
-
-// ChaosOdds is the per-operation fault mix one torture cycle runs under.
-// The rates are deliberately moderate: high enough that a multi-commit
-// cycle reliably draws several faults, low enough that checkpoints still
-// make forward progress between failures. The serving torture
-// (internal/servetest) runs its chaos phase under the same mix.
+// ChaosOdds is the per-operation fault mix the campaign cycles and the
+// serve protocol's first life run under. The rates are deliberately
+// moderate: high enough that a multi-commit life reliably draws several
+// faults, low enough that checkpoints still make forward progress
+// between failures.
 func ChaosOdds(seed uint64) iofault.ChaosConfig {
 	return iofault.ChaosConfig{
 		Seed:       seed,
@@ -123,207 +127,179 @@ func ChaosOdds(seed uint64) iofault.ChaosConfig {
 	}
 }
 
-// Run executes the torture protocol:
-//
-//  1. reference: run the campaign undisturbed (no checkpoint, clean FS)
-//     and render the report — the golden bytes;
-//  2. cycles: repeatedly run the same campaign with a checkpoint on the
-//     chaos filesystem, killing the run at a seeded checkpoint-commit
-//     ordinal and (optionally) flipping a checkpoint byte afterwards;
-//  3. final: resume once more on a clean filesystem, let the campaign
-//     finish, render, and compare against the golden bytes.
-//
-// A non-nil error means the protocol itself failed or — the finding the
-// harness exists for — the final report was not byte-identical.
-func Run(ctx context.Context, cfg Config) (Report, error) {
-	var rep Report
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cycles := cfg.Cycles
-	if cycles <= 0 {
-		cycles = 3
-	}
-	names := cfg.Sections
-	if len(names) == 0 {
-		names = DefaultSections()
-	}
-	ev := cfg.Eval
-	if ev.SeedsPerPoint == 0 {
-		ev = TestScaleEval()
-	}
-	var specs []campaign.Spec
-	for _, name := range names {
-		def, ok := report.Section(name)
-		if !ok {
-			return rep, fmt.Errorf("chaostest: unknown section %q", name)
+// arm installs the kill switch on fs and returns the channel it closes
+// when it fires: at the first commit whose ordinal is at least at — with
+// afterFault, only once fs has injected a fault, since a life killed
+// before any fault restarts clean and leaves the fault paths untested.
+// With powerOff the switch powers fs off first, so the firing commit is
+// the last write that survives, exactly like yanked power. (The hook
+// runs without the chaos lock held, so PowerOff is safe to call there.)
+func arm(fs *iofault.Chaos, at int, afterFault, powerOff bool) <-chan struct{} {
+	kill := make(chan struct{})
+	var once sync.Once
+	fs.OnCommit = func(_ string, n int) {
+		if n < at || afterFault && fs.Stats().Total() == 0 {
+			return
 		}
-		specs = append(specs, def.Spec(ev))
-	}
-	merged := campaign.Merge("chaos", specs...)
-
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaostest-*")
-		if err != nil {
-			return rep, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return rep, err
-	}
-	ckpt := filepath.Join(dir, "checkpoint.json")
-	master := rng.NewXorShift64Star(cfg.Seed ^ 0xc4a057e57)
-
-	// Phase 1: the undisturbed reference.
-	logf(cfg.Log, "chaostest: reference run (%d cells)", len(merged.Cells))
-	golden, err := runAndRender(ctx, merged, ev, names, sim.NewRunner(), cfg.Workers)
-	if err != nil {
-		return rep, fmt.Errorf("chaostest: reference run: %w", err)
-	}
-	rep.GoldenBytes = len(golden)
-
-	// Phase 2: kill/resume cycles under injected faults.
-	for cycle := 0; cycle < cycles; cycle++ {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		rep.Cycles++
-		fsys := iofault.NewChaos(nil, ChaosOdds(master.Uint64()))
-		killAt := 1 + rng.Intn(master, 12)
-		cycleCtx, cancel := context.WithCancel(ctx)
-		killed := false
-		fsys.OnCommit = func(_ string, n int) {
-			if n >= killAt {
-				killed = true
-				cancel()
+		once.Do(func() {
+			if powerOff {
+				fs.PowerOff()
 			}
-		}
-		ck, err := sim.LoadCheckpointFS(ckpt, fsys)
-		if err != nil {
-			// The chaos FS can fail even the load-time salvage rewrite;
-			// the damaged original is already quarantined, so the next
-			// cycle simply starts from an empty checkpoint. That is the
-			// torture working, not the torture failing.
-			logf(cfg.Log, "chaostest: cycle %d: checkpoint load under faults: %v", cycle+1, err)
-			cancel()
-			rep.Faults = addStats(rep.Faults, fsys.Stats())
-			continue
-		}
-		if note := ck.LoadReport().Note(); note != "" {
-			logf(cfg.Log, "chaostest: cycle %d: checkpoint: %s", cycle+1, note)
-		}
-		runner := sim.NewRunner()
-		runner.Checkpoint = ck
-		_, err = campaign.Run(cycleCtx, merged, campaign.Options{
-			Workers: cfg.Workers,
-			Runner:  runner,
-			// Write faults surface as cell-level checkpoint errors; a
-			// generous budget keeps the campaign fighting through them
-			// until the kill lands.
-			RetryBudget:  10 * len(merged.Cells),
-			BreakerAfter: 6,
-			RetryBackoff: 1,
-			RetrySeed:    cfg.Seed,
+			close(kill)
 		})
-		cancel()
-		// The cycle's own kill produces context.Canceled — expected. Only
-		// the caller's context dying aborts the torture.
-		if ctx.Err() != nil {
-			return rep, ctx.Err()
-		}
-		if killed {
-			rep.Kills++
-		}
-		rep.Faults = addStats(rep.Faults, fsys.Stats())
-		logf(cfg.Log, "chaostest: cycle %d: killAt=%d killed=%v faults=%d commits=%d err=%v",
-			cycle+1, killAt, killed, fsys.Stats().Total(), fsys.Stats().Commits, err)
-
-		if cfg.Corrupt {
-			if n, err := flipByte(ckpt, master); err == nil && n {
-				rep.Corruptions++
-			}
-		}
 	}
-
-	// Phase 3: resume on a clean filesystem and finish.
-	ck, err := sim.LoadCheckpointFS(ckpt, nil)
-	if err != nil {
-		return rep, fmt.Errorf("chaostest: final load: %w", err)
-	}
-	if note := ck.LoadReport().Note(); note != "" {
-		logf(cfg.Log, "chaostest: final load: %s", note)
-	}
-	runner := sim.NewRunner()
-	runner.Checkpoint = ck
-	final, err := runAndRender(ctx, merged, ev, names, runner, cfg.Workers)
-	if err != nil {
-		return rep, fmt.Errorf("chaostest: final run: %w", err)
-	}
-
-	quarantined, _ := filepath.Glob(ckpt + ".corrupt-*")
-	rep.Quarantined = len(quarantined)
-	rep.Identical = final == golden
-	if !rep.Identical {
-		return rep, fmt.Errorf("chaostest: final report differs from the undisturbed run (%d vs %d bytes): %s",
-			len(final), len(golden), firstDiff(golden, final))
-	}
-	logf(cfg.Log, "chaostest: PASS: byte-identical after %d kills, %d faults, %d corruption(s), %d quarantine(s)",
-		rep.Kills, rep.Faults.Total(), rep.Corruptions, rep.Quarantined)
-	return rep, nil
+	return kill
 }
 
-// runAndRender executes the campaign and renders the named sections in
-// order, the same post-execution rendering discipline cmd/experiments
-// uses — which is what makes byte comparison meaningful.
-func runAndRender(ctx context.Context, spec campaign.Spec, ev campaign.Eval, names []string, runner *sim.Runner, workers int) (string, error) {
-	rs, err := campaign.Run(ctx, spec, campaign.Options{Workers: workers, Runner: runner})
+// fired reports whether kill has fired; a nil kill never does.
+func fired(kill <-chan struct{}) bool {
+	select {
+	case <-kill:
+		return true
+	default:
+		return false
+	}
+}
+
+// life runs one life of the system under torture: every body on its own
+// goroutine, under a context the end of the life cancels. The life ends
+// at the kill, when every body has returned, or when ctx dies. Then stop
+// (if any) tears the system down the way a crash does — no drain — and
+// life waits for the bodies to exit. It reports whether the kill fired;
+// a nil kill never does.
+func life(ctx context.Context, kill <-chan struct{}, stop func(), bodies ...func(context.Context)) (bool, error) {
+	lctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, body := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(lctx)
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-kill:
+	case <-done:
+	case <-ctx.Done():
+	}
+	killed := fired(kill)
+	cancel()
+	if stop != nil {
+		stop()
+	}
+	<-done
+	return killed, ctx.Err()
+}
+
+// render runs the named sections as one campaign at TestScaleEval and
+// renders them as the server does (serve.BuildCampaign, campaign.Run,
+// serve.RenderReport) — the same separator discipline cmd/experiments
+// uses, which is what makes byte comparison meaningful. A skipped cell
+// is an error: render runs on a clean filesystem.
+func render(ctx context.Context, names []string, opts campaign.Options) ([]byte, error) {
+	spec, ev, err := serve.BuildCampaign(serve.Request{Sections: names}, TestScaleEval(), serve.Limits{})
 	if err != nil {
-		return "", err
+		return nil, err
+	}
+	rs, err := campaign.Run(ctx, spec, opts)
+	if err != nil {
+		return nil, err
 	}
 	if skipped := rs.Skipped(); len(skipped) > 0 {
-		return "", fmt.Errorf("chaostest: %d cell(s) skipped on a clean filesystem: %v", len(skipped), skipped)
+		return nil, fmt.Errorf("%d cell(s) skipped on a clean filesystem: %v", len(skipped), skipped)
 	}
-	var buf bytes.Buffer
-	rc := &report.Context{Eval: ev, Results: rs}
-	for _, name := range names {
-		def, _ := report.Section(name)
-		if err := def.Render(&buf, rc); err != nil {
-			return "", err
+	text, _, err := serve.RenderReport(ev, rs, names)
+	return text, err
+}
+
+// goldens renders every variant serially and undisturbed — no server,
+// no checkpoint, no faults: the bytes every served report must match.
+func goldens(ctx context.Context) ([][]byte, error) {
+	golden := make([][]byte, len(variants))
+	for i, names := range variants {
+		text, err := render(ctx, names, campaign.Options{Workers: 1})
+		if err != nil {
+			return nil, fmt.Errorf("chaostest: golden %s: %w", strings.Join(names, "+"), err)
 		}
-		buf.WriteByte('\n')
+		golden[i] = text
 	}
-	return buf.String(), nil
+	return golden, nil
 }
 
-// flipByte flips one seeded bit of one seeded byte of the file at path,
-// reporting whether a flip happened (a missing or empty checkpoint is
-// not an error — a cycle may die before its first commit).
-func flipByte(path string, src *rng.XorShift64Star) (bool, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil || len(raw) == 0 {
-		return false, err
+// diff returns "" when got is want, else where the two first part.
+func diff(want, got []byte) string {
+	if bytes.Equal(want, got) {
+		return ""
 	}
-	pos := rng.Intn(src, len(raw))
-	raw[pos] ^= byte(1) << uint(rng.Intn(src, 8))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return false, err
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("%d vs %d bytes, first divergence at line %d: %q vs %q", len(want), len(got), i+1, wl[i], gl[i])
+		}
 	}
-	return true, nil
+	return fmt.Sprintf("%d vs %d bytes sharing a common prefix", len(want), len(got))
 }
 
-// addStats accumulates chaos counters across cycles.
-func addStats(a, b iofault.ChaosStats) iofault.ChaosStats {
-	a.TornWrites += b.TornWrites
-	a.ShortWrites += b.ShortWrites
-	a.WriteErrs += b.WriteErrs
-	a.NoSpaceErrs += b.NoSpaceErrs
-	a.RenameFails += b.RenameFails
-	a.FsyncLosses += b.FsyncLosses
-	a.BitFlips += b.BitFlips
-	a.Commits += b.Commits
-	return a
+// postMortem waits up to a second for serve's job and drain goroutines
+// to exit, then counts those left, the quarantine corpses beside path
+// (`<path>.corrupt-*`), and the heap after a GC.
+func postMortem(path string) (leaked, corpses int, heap uint64) {
+	leaked = serveGoroutines()
+	for wait := 0; leaked > 0 && wait < 100; wait++ {
+		time.Sleep(10 * time.Millisecond)
+		leaked = serveGoroutines()
+	}
+	matches, _ := filepath.Glob(path + ".corrupt-*") // the pattern is well-formed
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return leaked, len(matches), ms.HeapAlloc
+}
+
+// serveGoroutines counts goroutines currently executing serve job or
+// drain machinery.
+func serveGoroutines() int {
+	buf := make([]byte, 1<<20)
+	stacks := string(buf[:runtime.Stack(buf, true)])
+	n := 0
+	for _, g := range strings.Split(stacks, "\n\n") {
+		if strings.Contains(g, "serve.(*Server).runJob") ||
+			strings.Contains(g, "serve.(*Server).executeJob") ||
+			strings.Contains(g, "serve.(*Server).Drain") {
+			n++
+		}
+	}
+	return n
+}
+
+// workDir resolves Config.Dir: "" is a fresh temp directory that
+// cleanup removes; any other path is created if missing and kept.
+func workDir(dir string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, os.MkdirAll(dir, 0o755)
+	}
+	tmp, err := os.MkdirTemp("", "chaostest-*")
+	if err != nil {
+		return "", nil, err
+	}
+	return tmp, func() { os.RemoveAll(tmp) }, nil
+}
+
+// start serves a server under torture over loopback HTTP, at
+// TestScaleEval with cfg's pool and log.
+func (cfg Config) start(sc serve.Config) (*serve.Server, *httptest.Server, error) {
+	sc.Workers, sc.BaseEval, sc.Log = cfg.Workers, TestScaleEval(), cfg.Log
+	if sc.Workers <= 0 {
+		sc.Workers = serveWorkers
+	}
+	srv, err := serve.New(sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return srv, httptest.NewServer(srv.Handler()), nil
 }
 
 // logf writes one narration line when a log sink is configured.
@@ -331,31 +307,4 @@ func logf(w io.Writer, format string, args ...any) {
 	if w != nil {
 		fmt.Fprintf(w, format+"\n", args...)
 	}
-}
-
-// firstDiff locates the first divergent line for a readable failure.
-func firstDiff(a, b string) string {
-	al, bl := splitLines(a), splitLines(b)
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return fmt.Sprintf("first divergence at line %d: %q vs %q", i+1, al[i], bl[i])
-		}
-	}
-	return "outputs share a common prefix but differ in length"
-}
-
-func splitLines(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != '\n' {
-			i++
-		}
-		out = append(out, s[:i])
-		if i < len(s) {
-			i++
-		}
-		s = s[i:]
-	}
-	return out
 }

@@ -14,10 +14,10 @@
 // tenant gets a retry budget and a circuit breaker reusing the campaign
 // engine's self-healing, and SIGTERM/SIGINT triggers a graceful drain —
 // stop admitting, let in-flight cells finish or reach the checkpoint,
-// then exit. The servetest torture harness (internal/servetest) holds
-// the whole stack to the same standard the chaos harness holds the
-// persistence layer to: byte-identical results under concurrency,
-// injected I/O faults, and kill/restart.
+// then exit. The torture harness (internal/chaostest) holds the whole
+// stack to the same standard it holds the persistence layer to:
+// byte-identical results under concurrency, injected I/O faults, and
+// kill/restart.
 package serve
 
 import (
