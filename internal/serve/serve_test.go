@@ -358,6 +358,26 @@ func TestPanicIsolation(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestDefaultWorkersIsGOMAXPROCS: Workers 0 sizes the shared simulation
+// gate to GOMAXPROCS, as the field and the -workers flag document; a set
+// Workers sizes it exactly.
+func TestDefaultWorkersIsGOMAXPROCS(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{-1, runtime.GOMAXPROCS(0)},
+		{3, 3},
+	} {
+		s, err := New(Config{Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cap(s.gate); got != tc.want {
+			t.Errorf("Workers %d: gate capacity %d, want %d", tc.workers, got, tc.want)
+		}
+		s.Close()
+	}
+}
+
 // TestHandlerPanicIsolation drives the recover middleware directly.
 func TestHandlerPanicIsolation(t *testing.T) {
 	s, err := New(Config{})

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,7 +60,7 @@ var ErrIdempotencyConflict = errors.New("serve: idempotency key reused with a di
 // Config tunes one Server.
 type Config struct {
 	// Workers bounds simulations in flight across every tenant's
-	// campaigns — the one shared pool (0 = GOMAXPROCS via campaign).
+	// campaigns — the one shared pool (0 = GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds each tenant's pending (not yet running) jobs;
 	// submissions beyond it are shed with 429 + Retry-After (0 = 8).
@@ -209,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = 1
+		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		cfg:         cfg,

@@ -27,11 +27,7 @@ type arrivalBlock struct {
 
 // fillArrival generates the next n accesses into blk.
 func (st *stream) fillArrival(blk *arrivalBlock, n int) {
-	rows, banks := blk.row[:n], blk.bank[:n]
-	for j := range rows {
-		a := st.gen()
-		rows[j], banks[j] = int32(a.Row), int32(a.Bank)
-	}
+	st.k.Fill(blk.bank[:n], blk.row[:n])
 }
 
 // serveArrival routes the first n accesses of blk, whose first access is

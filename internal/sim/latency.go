@@ -6,7 +6,6 @@ import (
 	"tivapromi/internal/dram"
 	"tivapromi/internal/memctrl"
 	"tivapromi/internal/mitigation"
-	"tivapromi/internal/rng"
 	"tivapromi/internal/workload"
 )
 
@@ -77,26 +76,26 @@ func LatencyProbeCtx(ctx context.Context, cfg Config, technique string) (Latency
 	}, nil
 }
 
-// newLatencyStream builds the same mixed traffic Run uses, as a
-// scheduler feed.
+// newLatencyStream feeds the scheduler the same kind of mixed traffic
+// Run uses, from workload.Kernel blocks of blockLen accesses, with its
+// own attack plan: the default ramp and burst over RefInt*200 planned
+// accesses, and a share coin seeded by Seed^0x1a7e.
 func newLatencyStream(cfg Config) (func() (int, int), error) {
-	c := cfg
-	c.Windows = 1
-	mix := workload.SPECMix(c.Params.TotalBanks(), c.Params.RowsPerBank, c.Seed)
+	p := cfg.Params
 	att, err := workload.NewAttacker(workload.DefaultAttackerConfig(
-		c.AttackBanks, c.Params.RowsPerBank,
-		uint64(c.Params.RefInt)*200, c.Seed))
+		cfg.AttackBanks, p.RowsPerBank, uint64(p.RefInt)*200, cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	src := rng.NewXorShift64Star(c.Seed ^ 0x1a7e)
-	share := uint64(c.AttackShare * float64(1<<32))
+	k := workload.NewKernel(p.TotalBanks(), p.RowsPerBank, cfg.Seed, blockLen, att, cfg.AttackShare, cfg.Seed^0x1a7e)
+	var bank, row [blockLen]int32
+	j := blockLen
 	return func() (int, int) {
-		if src.Uint64()&0xffffffff < share {
-			a := att.Next()
-			return a.Bank, a.Row
+		if j == blockLen {
+			k.Fill(bank[:], row[:])
+			j = 0
 		}
-		a := mix.Next()
-		return a.Bank, a.Row
+		j++
+		return int(bank[j-1]), int(row[j-1])
 	}, nil
 }

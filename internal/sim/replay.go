@@ -134,16 +134,20 @@ func RecordTrace(cfg Config, w *trace.Writer) error {
 			l.CatchUp(iv)
 		}
 	}
+	var bank, row [blockLen]int32
 	iv, rem := 0, src.api
-	for i := 0; i < src.total(); i++ {
-		a := src.st.gen()
-		if rem == 0 {
-			iv++
-			rem = src.api
-			catchUpAll(iv)
+	for base, total := 0, src.total(); base < total; base += blockLen {
+		n := min(blockLen, total-base)
+		src.st.k.Fill(bank[:n], row[:n])
+		for j, b := range bank[:n] {
+			if rem == 0 {
+				iv++
+				rem = src.api
+				catchUpAll(iv)
+			}
+			rem--
+			env.lanes[b].Access(row[j])
 		}
-		rem--
-		env.lanes[a.Bank].Access(int32(a.Row))
 	}
 	catchUpAll(src.intervals)
 	if werr != nil {

@@ -271,16 +271,20 @@ func RunGroup(ctx context.Context, members []Member) ([]Result, error) {
 
 // DrainStream generates cfg's full access stream without servicing any
 // of it — the trace-generation stage in isolation: the group driver with
-// no members. Returns the number of accesses generated.
+// no members, over a source alone (no lanes, devices or mitigation are
+// built). Returns the number of accesses generated.
 func DrainStream(ctx context.Context, cfg Config) (uint64, error) {
-	g, err := prepareGroup([]Member{{Config: cfg}})
+	if err := cfg.Validate(); err != nil {
+		return 0, permanent(err)
+	}
+	src, err := newSource(cfg)
 	if err != nil {
 		return 0, err
 	}
-	if err := g.src.drive(ctx, nil); err != nil {
+	if err := src.drive(ctx, nil); err != nil {
 		return 0, err
 	}
-	return uint64(g.src.total()), nil
+	return uint64(src.total()), nil
 }
 
 // blockLen is the group driver's block: the accesses generated at once
@@ -293,7 +297,7 @@ const blockLen = 1024
 // that every member serves the block one bank at a time. The refresh
 // interval of an access is not stored: it follows from the access index.
 type accessBlock struct {
-	row [blockLen]int32
+	bank, row [blockLen]int32
 	// next is the block index of the same bank's next access, -1 after
 	// the bank's last one in the block.
 	next [blockLen]int16
@@ -711,7 +715,7 @@ func (e *runEnv) collect(k int) Result {
 		}
 		res.FalseActs += e.falseActs[b]
 	}
-	res.AttackerActs = e.src.st.attackerAccesses // attacker accesses are all misses
+	res.AttackerActs = e.src.st.k.Attacks() // attacker accesses are all misses
 	if res.TotalActs > 0 {
 		res.OverheadPct = 100 * float64(res.ExtraActs) / float64(res.TotalActs)
 		res.FPRPct = 100 * float64(res.FalseActs) / float64(res.TotalActs)
@@ -763,23 +767,21 @@ func techniqueName(m mitigation.Mitigator) string {
 	return m.Name()
 }
 
-// stream interleaves the SPEC-like mix with the attacker at the
-// configured share. Generation reads only the stream's own RNG and
-// generators — never device or lane state — so every member of a group,
-// DrainStream and RecordTrace all consume this one sequence.
+// stream is the group's traffic: workload.Kernel's interleave of the
+// SPEC-like mix with the attacker at the configured share. Generation
+// reads only the kernel's own RNGs and generators — never device or lane
+// state — so every member of a group, DrainStream and RecordTrace all
+// consume this one sequence.
 type stream struct {
-	att     *workload.Attacker
-	mix     *workload.SpecMixGen
-	src     *rng.XorShift64Star
-	shareFP uint64
-	// attackerAccesses counts attacker-issued accesses at generation;
-	// every generated access is serviced (the run length is a fixed
-	// access count), so generation-time counting is exact.
-	attackerAccesses uint64
+	att *workload.Attacker // nil without an attacker
+	// k counts the attacker's accesses as it generates them; every
+	// generated access is serviced (the run length is a fixed access
+	// count), so that count is exact.
+	k *workload.Kernel
 }
 
 func newStream(cfg Config, api int) (*stream, error) {
-	st := &stream{mix: workload.NewSpecMixGen(cfg.Params.TotalBanks(), cfg.Params.RowsPerBank, cfg.Seed)}
+	st := &stream{}
 	if len(cfg.AttackBanks) > 0 && cfg.AttackShare > 0 {
 		// Plan the ramp over the attacker's exact share of the run's
 		// fixed access count, so the ramp completes as the run ends.
@@ -804,43 +806,31 @@ func newStream(cfg Config, api int) (*stream, error) {
 		}
 		st.att = att
 	}
-	st.src = rng.NewXorShift64Star(cfg.Seed ^ 0xd21ce)
-	st.shareFP = uint64(cfg.AttackShare * float64(1<<32))
+	st.k = workload.NewKernel(cfg.Params.TotalBanks(), cfg.Params.RowsPerBank, cfg.Seed,
+		blockLen, st.att, cfg.AttackShare, cfg.Seed^0xd21ce)
 	return st, nil
 }
 
 // fill generates the next n accesses into blk and chains them per bank:
-// the block is regrouped by bank as it is generated, once for all
-// members. Block indices are below blockLen, so masking them with
-// blockLen-1 changes nothing but drops the bounds checks.
+// the block is regrouped by bank once, for all members. Block indices
+// are below blockLen, so masking them with blockLen-1 changes nothing
+// but drops the bounds checks.
 func (st *stream) fill(blk *accessBlock, n int) {
+	st.k.Fill(blk.bank[:n], blk.row[:n])
 	last, runs := blk.last, blk.runs[:0]
-	rows := blk.row[:n]
-	for j := range rows {
-		a := st.gen()
-		rows[j] = int32(a.Row)
-		if p := last[a.Bank]; p < 0 {
-			runs = append(runs, bankRun{bank: int32(a.Bank), head: int16(j)})
+	for j, b := range blk.bank[:n] {
+		if p := last[b]; p < 0 {
+			runs = append(runs, bankRun{bank: b, head: int16(j)})
 		} else {
 			blk.next[p&(blockLen-1)] = int16(j)
 		}
-		last[a.Bank] = int16(j)
+		last[b] = int16(j)
 	}
 	for _, r := range runs {
 		blk.next[last[r.bank]&(blockLen-1)] = -1
 		last[r.bank] = -1
 	}
 	blk.runs = runs
-}
-
-// gen produces the next access of the interleaved sequence. The
-// attacker-share draw is skipped entirely without an attacker.
-func (st *stream) gen() workload.Access {
-	if st.att != nil && st.src.Uint64()&0xffffffff < st.shareFP {
-		st.attackerAccesses++
-		return st.att.Next()
-	}
-	return st.mix.Next()
 }
 
 func remapPerm(rows, swaps int, seed uint64) []int {

@@ -37,6 +37,7 @@ type Attacker struct {
 	tb       []int // cfg.TargetBanks, local for the hot path
 	pairEven []int
 	pairOdd  []int
+	pat      []attackSlot // run's scratch: the dwell pattern
 
 	issued uint64
 	pos    int // round-robin cursor
@@ -144,6 +145,7 @@ func NewAttacker(cfg AttackerConfig) (*Attacker, error) {
 	a.tb = append([]int(nil), cfg.TargetBanks...)
 	a.pairEven = make([]int, a.nBanks)
 	a.pairOdd = make([]int, a.nBanks)
+	a.pat = make([]attackSlot, 2*a.nBanks)
 	a.refreshPairs()
 	return a, nil
 }

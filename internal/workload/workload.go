@@ -281,18 +281,12 @@ func (m *Mix) Next() Access {
 
 // SPECMix returns the default mixed load used by the experiments: four
 // SPEC-like profiles with weights roughly matching a 4-core mix of
-// memory-bound and locality-bound benchmarks.
+// memory-bound and locality-bound benchmarks. It is the per-access
+// reference of Kernel, which generates the same banks and rows a block
+// at a time.
 func SPECMix(banks, rows int, seed uint64) *Mix {
-	return NewMix("spec-mix",
-		[]Generator{
-			NewStream(banks, rows, 64, seed+1),
-			NewHotCold(banks, rows, 16, 0.9, seed+2),
-			NewStencil(banks, rows, 128, seed+3),
-			NewUniform(banks, rows, seed+4),
-		},
-		[]int{6, 8, 1, 1},
-		seed,
-	)
+	st, hc, sc, un := specComponents(banks, rows, seed)
+	return NewMix("spec-mix", []Generator{st, hc, sc, un}, []int{6, 8, 1, 1}, seed)
 }
 
 // String renders an access for debugging.

@@ -174,18 +174,6 @@ func TestSPECMixDeterminism(t *testing.T) {
 	}
 }
 
-func TestSpecMixGenMatchesSPECMix(t *testing.T) {
-	// The devirtualized generator must emit the exact stream of the
-	// interface-dispatched Mix it replaces.
-	flat := NewSpecMixGen(testBanks, testRows, 42)
-	ref := SPECMix(testBanks, testRows, 42)
-	for i := 0; i < 50000; i++ {
-		if a, b := flat.Next(), ref.Next(); a != b {
-			t.Fatalf("diverged at access %d: flat %v, mix %v", i, a, b)
-		}
-	}
-}
-
 func TestAccessString(t *testing.T) {
 	if s := (Access{Bank: 1, Row: 2, Write: true}).String(); s != "W b1 r2" {
 		t.Fatalf("String = %q", s)
