@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench experiments examples fig4 serve serve-smoke obs-smoke clean
+.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench experiments fig4 serve serve-smoke obs-smoke clean
 
 all: build vet test
 
@@ -99,14 +99,6 @@ obs-smoke:
 	$(GO) run ./scripts/obscheck -metrics obs-metrics.txt -trace obs-trace.json \
 	  -require-metrics tivapromi_accesses_total,tivapromi_acts_total,tivapromi_cells_completed_total,tivapromi_run_attempts_total,tivapromi_dedup_hits_total \
 	  -require-spans cell,run-attempt
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/attack_defense
-	$(GO) run ./examples/policy_comparison
-	$(GO) run ./examples/flooding
-	$(GO) run ./examples/corruption
-	$(GO) run ./examples/custom_mitigation
 
 clean:
 	$(GO) clean ./...

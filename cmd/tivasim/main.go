@@ -6,11 +6,13 @@
 //	tivasim -technique all                       # all nine techniques
 //	tivasim -technique PARA -policy random -aggressors 8
 //	tivasim -replay trace.bin -technique TWiCe   # replay a recorded trace
+//	tivasim -replay trace.bin -technique all     # ... under every technique
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,8 +36,9 @@ var (
 
 func main() {
 	flag.Parse()
+	names := techniqueNames(*technique)
 	if *replay != "" {
-		if err := replayTrace(*replay, *technique); err != nil {
+		if err := replayTrace(os.Stdout, *replay, names); err != nil {
 			fatal(err)
 		}
 		return
@@ -62,16 +65,6 @@ func main() {
 		fatal(fmt.Errorf("unknown policy %q", *policyName))
 	}
 
-	var names []string
-	switch *technique {
-	case "all":
-		names = append([]string{""}, sim.TechniqueNames()...)
-	case "none":
-		names = []string{""}
-	default:
-		names = strings.Split(*technique, ",")
-	}
-
 	t := report.NewTable(
 		fmt.Sprintf("tivasim — %d windows, policy %v, attack share %.0f%%, up to %d aggressors/bank",
 			cfg.Windows, cfg.Policy, 100*cfg.AttackShare, cfg.MaxAggressors),
@@ -95,28 +88,46 @@ func main() {
 	}
 }
 
-func replayTrace(path, technique string) error {
+// techniqueNames resolves the -technique flag: "all" is the unprotected
+// baseline plus the paper's nine techniques, "none" the baseline alone
+// (""), anything else a comma-separated list of registered names.
+func techniqueNames(spec string) []string {
+	switch spec {
+	case "all":
+		return append([]string{""}, sim.TechniqueNames()...)
+	case "none":
+		return []string{""}
+	}
+	return strings.Split(spec, ",")
+}
+
+// replayTrace replays the trace at path once per technique and renders
+// one table row each to w.
+func replayTrace(w io.Writer, path string, names []string) error {
+	t := report.NewTable(fmt.Sprintf("replay of %s", path),
+		"technique", "overhead", "flips", "acts", "avg acts/interval")
+	for _, name := range names {
+		res, err := replayOne(path, name)
+		if err != nil {
+			return err
+		}
+		t.Add(res.Technique, report.Pct(res.OverheadPct), fmt.Sprint(res.Flips),
+			fmt.Sprint(res.TotalActs), fmt.Sprintf("%.1f", res.AvgActsPerInterval))
+	}
+	return t.Render(w)
+}
+
+func replayOne(path, technique string) (sim.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return sim.Result{}, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return err
+		return sim.Result{}, err
 	}
-	if technique == "none" || technique == "all" {
-		technique = ""
-	}
-	res, err := sim.ReplayTrace(r, technique, 0)
-	if err != nil {
-		return err
-	}
-	t := report.NewTable(fmt.Sprintf("replay of %s", path),
-		"technique", "overhead", "flips", "acts", "avg acts/interval")
-	t.Add(res.Technique, report.Pct(res.OverheadPct), fmt.Sprint(res.Flips),
-		fmt.Sprint(res.TotalActs), fmt.Sprintf("%.1f", res.AvgActsPerInterval))
-	return t.Render(os.Stdout)
+	return sim.ReplayTrace(r, technique, 0)
 }
 
 func fatal(err error) {

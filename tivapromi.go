@@ -32,20 +32,15 @@ package tivapromi
 
 import (
 	"context"
-	"io"
 
 	"tivapromi/internal/campaign"
 	"tivapromi/internal/core"
 	"tivapromi/internal/dram"
 	"tivapromi/internal/faults"
-	"tivapromi/internal/iofault"
 	"tivapromi/internal/memctrl"
 	"tivapromi/internal/mitigation"
 	_ "tivapromi/internal/mitigation/all" // register every technique
-	"tivapromi/internal/obs"
-	"tivapromi/internal/serve"
 	"tivapromi/internal/sim"
-	"tivapromi/internal/stats"
 	"tivapromi/internal/workload"
 )
 
@@ -55,14 +50,10 @@ type (
 	Params = dram.Params
 	// Device is the simulated DRAM.
 	Device = dram.Device
-	// FlipEvent records a successful Row-Hammer bit flip.
-	FlipEvent = dram.FlipEvent
 	// RefreshPolicy decides which rows an auto-refresh interval restores.
 	RefreshPolicy = dram.RefreshPolicy
 	// Controller is the memory-controller model (Fig. 1).
 	Controller = memctrl.Controller
-	// ControllerConfig sets the controller's service times.
-	ControllerConfig = memctrl.Config
 )
 
 // Mitigation-side types.
@@ -83,7 +74,9 @@ type (
 
 // Harness types.
 type (
-	// SimConfig describes one simulation run.
+	// SimConfig describes one simulation run; assign a factory to its
+	// Factory field to run a custom Mitigator through the harness (see
+	// Example_customMitigation).
 	SimConfig = sim.Config
 	// SimResult is the outcome of one run.
 	SimResult = sim.Result
@@ -97,6 +90,8 @@ type (
 	Workload = workload.Generator
 	// Attacker is the cache-flush Row-Hammer attacker.
 	Attacker = workload.Attacker
+	// AttackerConfig describes an attack campaign.
+	AttackerConfig = workload.AttackerConfig
 )
 
 // Hardened-runner and fault-injection types.
@@ -116,81 +111,22 @@ type (
 	FaultPlan = faults.Plan
 	// FaultHarness wraps a Mitigator with seed-driven fault injection.
 	FaultHarness = faults.Harness
-	// FaultPoint is one cell of a degradation table.
-	FaultPoint = sim.FaultPoint
-	// FaultSweepConfig describes a techniques × models × rates campaign.
-	FaultSweepConfig = sim.FaultSweepConfig
 )
 
-// Crash-consistency types: the checkpoint store writes through an
-// injectable filesystem seam (FS), so fault injection reaches the I/O
-// layer too. OSFS is the passthrough; ChaosFS injects seed-deterministic
-// torn writes, rename failures, fsync loss, and bit flips for torture
-// testing (see internal/iofault and internal/chaostest).
-type (
-	// FS is the filesystem seam the checkpoint writes through.
-	FS = iofault.FS
-	// OSFS is the real-filesystem passthrough.
-	OSFS = iofault.OS
-	// ChaosFS injects seed-deterministic I/O faults beneath an FS.
-	ChaosFS = iofault.Chaos
-	// ChaosFSConfig sets per-operation fault probabilities and the seed.
-	ChaosFSConfig = iofault.ChaosConfig
-	// ChaosFSStats tallies the faults a ChaosFS injected.
-	ChaosFSStats = iofault.ChaosStats
-	// CheckpointLoadReport describes what loading a checkpoint found:
-	// entries kept, corrupt entries dropped, quarantine.
-	CheckpointLoadReport = sim.LoadReport
-)
-
-// Robustness sentinels, matchable with errors.Is.
-var (
-	// ErrStalled marks a run cancelled by the stall watchdog (no
-	// heartbeat progress within RunnerConfig.StallTimeout); it classifies
-	// as transient and is retried.
-	ErrStalled = sim.ErrStalled
-	// ErrCheckpointCorrupt marks checkpoint bytes that failed
-	// checksum/structure verification (the file is quarantined and every
-	// verifiable entry salvaged).
-	ErrCheckpointCorrupt = sim.ErrCheckpointCorrupt
-	// ErrCheckpointVersion marks a checkpoint of another format version
-	// (quarantined whole; its runs re-simulate — there is no migration).
-	ErrCheckpointVersion = sim.ErrCheckpointVersion
-	// ErrCampaignCellSkipped marks a campaign cell parked by the retry
-	// circuit breaker; the root cause stays wrapped underneath.
-	ErrCampaignCellSkipped = campaign.ErrCellSkipped
-)
-
-// Fault models (see internal/faults for the scenario each one realizes).
+// Fault models (see internal/faults for the scenario each one realizes;
+// FaultModels lists them all).
 const (
-	FaultNone        = faults.None
-	FaultStateSEU    = faults.StateSEU
-	FaultStuckRNG    = faults.StuckRNG
-	FaultBiasedRNG   = faults.BiasedRNG
-	FaultPeriodicRNG = faults.PeriodicRNG
-	FaultDropActN    = faults.DropActN
-	FaultDelayActN   = faults.DelayActN
-	FaultWeakCells   = faults.WeakCells
+	FaultStateSEU = faults.StateSEU
+	FaultStuckRNG = faults.StuckRNG
 )
 
-// TiVaPRoMi variants.
-const (
-	LiPRoMi   = core.LiPRoMi
-	LoPRoMi   = core.LoPRoMi
-	LoLiPRoMi = core.LoLiPRoMi
-)
+// LoLiPRoMi is the paper's area-optimal TiVaPRoMi variant.
+const LoLiPRoMi = core.LoLiPRoMi
 
-// Maintenance-command kinds, for implementing custom mitigations against
-// the Mitigator interface (see examples/custom_mitigation).
-const (
-	ActN       = mitigation.ActN
-	ActNOne    = mitigation.ActNOne
-	RefreshRow = mitigation.RefreshRow
-)
-
-// MitigationFactory builds a Mitigator for a target device; assign one to
-// SimConfig.Factory to run a custom technique through the harness.
-type MitigationFactory = mitigation.Factory
+// ActNOne is the maintenance command that activates one neighbor of a
+// row, for custom mitigations against the Mitigator interface (see
+// Example_customMitigation).
+const ActNOne = mitigation.ActNOne
 
 // PaperParams returns the paper's full Table I device configuration.
 func PaperParams() Params { return dram.PaperParams() }
@@ -198,23 +134,6 @@ func PaperParams() Params { return dram.PaperParams() }
 // ScaledParams returns the fast structure-preserving configuration used
 // by default in tests and examples.
 func ScaledParams() Params { return dram.ScaledParams() }
-
-// FullDIMMParams returns the whole-DIMM population preset: 1 rank × 8
-// DDR4 bank groups × 4 banks × 64 K rows (32 banks, 2 M rows). At this
-// scale StateAuto selects the lazily-paged sparse per-row state, so
-// heap stays proportional to the rows the workload touches.
-func FullDIMMParams() Params { return dram.FullDIMMParams() }
-
-// Per-row state representations (Params.State): auto resolves dense for
-// small populations and sparse for full-DIMM-scale ones.
-const (
-	StateAuto   = dram.StateAuto
-	StateDense  = dram.StateDense
-	StateSparse = dram.StateSparse
-)
-
-// StateMode selects the device's per-row state representation.
-type StateMode = dram.StateMode
 
 // DefaultSimConfig returns the standard mixed-load-plus-attacker setup.
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
@@ -224,11 +143,6 @@ func Techniques() []string { return mitigation.Names() }
 
 // PaperTechniques returns the paper's nine techniques in Table III order.
 func PaperTechniques() []string { return sim.TechniqueNames() }
-
-// ExtensionTechniques returns the techniques implemented beyond the
-// paper: CAT (adaptive counter tree), TRR (commodity in-DRAM sampler)
-// and QuaPRoMi (quadratic weighting).
-func ExtensionTechniques() []string { return sim.ExtensionTechniques() }
 
 // NewMitigation builds a registered technique by name for a target
 // device.
@@ -269,12 +183,9 @@ func SPECMix(banks, rowsPerBank int, seed uint64) Workload {
 }
 
 // NewAttacker builds the ramping cache-flush attacker.
-func NewAttacker(cfg workload.AttackerConfig) (*Attacker, error) {
+func NewAttacker(cfg AttackerConfig) (*Attacker, error) {
 	return workload.NewAttacker(cfg)
 }
-
-// AttackerConfig describes an attack campaign.
-type AttackerConfig = workload.AttackerConfig
 
 // RunSimulation executes one simulation of a technique ("" for an
 // unprotected system).
@@ -305,47 +216,6 @@ func DefaultRunnerConfig() RunnerConfig { return sim.DefaultRunnerConfig() }
 // LoadReport on the returned Checkpoint says what happened.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return sim.LoadCheckpoint(path) }
 
-// LoadCheckpointFS is LoadCheckpoint writing through an explicit
-// filesystem seam (nil = the real filesystem); pass a ChaosFS to torture
-// the crash-consistency machinery.
-func LoadCheckpointFS(path string, fsys FS) (*Checkpoint, error) {
-	return sim.LoadCheckpointFS(path, fsys)
-}
-
-// ScaleSmokeReport carries the measurements of one full-geometry scale
-// smoke run: touched rows, sparse-state and dense-baseline bytes, and
-// the live-heap growth across the run.
-type ScaleSmokeReport = sim.ScaleSmokeReport
-
-// ScaleSmoke runs cfg once and measures the memory the simulation
-// retained; Check on the report asserts the population-scale bounds
-// (sparse state ≤ dense/8, heap growth ≤ dense/2).
-func ScaleSmoke(ctx context.Context, cfg SimConfig, technique string) (ScaleSmokeReport, error) {
-	return sim.ScaleSmoke(ctx, cfg, technique)
-}
-
-// ScaleSmokeConfig returns the attacker-dominated workload the scale
-// smoke uses on params p.
-func ScaleSmokeConfig(p Params) SimConfig { return sim.ScaleSmokeConfig(p) }
-
-// Streaming statistics: single-pass, constant-memory accumulators for
-// population-scale sweeps (see internal/stats).
-type (
-	// StreamMoments accumulates mean/variance/skewness/kurtosis in one
-	// pass with exact pairwise merging.
-	StreamMoments = stats.Moments
-	// StreamQuantile is the P² single-pass quantile sketch.
-	StreamQuantile = stats.P2Quantile
-	// StreamSummary composes moments with p50/p99 sketches.
-	StreamSummary = stats.StreamSummary
-)
-
-// NewStreamQuantile returns a P² sketch tracking quantile q ∈ (0, 1).
-func NewStreamQuantile(q float64) *StreamQuantile { return stats.NewP2Quantile(q) }
-
-// NewStreamSummary returns a constant-memory moments + p50/p99 summary.
-func NewStreamSummary() *StreamSummary { return stats.NewStreamSummary() }
-
 // NewRunner returns a hardened sweep runner with default pool sizing and
 // no checkpoint.
 func NewRunner() *Runner { return sim.NewRunner() }
@@ -357,12 +227,6 @@ func WrapWithFaults(m Mitigator, plan FaultPlan) *FaultHarness { return faults.W
 
 // FaultModels returns every injecting fault model in presentation order.
 func FaultModels() []FaultModel { return faults.Models() }
-
-// FaultSweep runs a techniques × models × rates degradation campaign
-// under the hardened runner (nil for defaults).
-func FaultSweep(ctx context.Context, r *Runner, sc FaultSweepConfig) ([]FaultPoint, error) {
-	return sim.FaultSweep(ctx, r, sc)
-}
 
 // Seeds returns n deterministic seeds derived from base.
 func Seeds(base uint64, n int) []uint64 { return sim.Seeds(base, n) }
@@ -386,8 +250,6 @@ func AnalyzeVulnerability(technique string, p Params, seed uint64) (VulnReport, 
 type (
 	// Campaign is a named, ordered grid of cells (one study).
 	Campaign = campaign.Spec
-	// CampaignCell is one schedulable unit (a seed sweep or a probe).
-	CampaignCell = campaign.Cell
 	// CampaignOptions tunes one campaign execution (workers, runner,
 	// progress sink).
 	CampaignOptions = campaign.Options
@@ -395,9 +257,6 @@ type (
 	CampaignProgress = campaign.Progress
 	// CampaignResults holds every executed cell's result, keyed by cell.
 	CampaignResults = campaign.ResultSet
-	// CampaignEval carries the evaluation-wide knobs shared by the
-	// built-in section builders.
-	CampaignEval = campaign.Eval
 )
 
 // RunCampaign executes every cell of a campaign through the hardened
@@ -411,99 +270,3 @@ func RunCampaign(ctx context.Context, c Campaign, opts CampaignOptions) (*Campai
 func MergeCampaigns(name string, cs ...Campaign) Campaign {
 	return campaign.Merge(name, cs...)
 }
-
-// DefaultCampaignEval mirrors the cmd/experiments flag defaults.
-func DefaultCampaignEval() CampaignEval { return campaign.DefaultEval() }
-
-// Serving-layer types: run campaigns as a long-running multi-tenant
-// HTTP service — per-tenant fair queuing over one shared worker pool,
-// admission control with 429 + Retry-After load shedding, cross-tenant
-// dedup through the shared checkpoint cache, SSE progress streams with
-// crash-safe resume, idempotent submission and restart recovery through
-// a write-ahead job journal, and graceful drain (see internal/serve and
-// DESIGN.md §11 and §14).
-type (
-	// CampaignServer is the multi-tenant campaign server. Mount
-	// Handler() on an http.Server; call Drain then Close on shutdown.
-	CampaignServer = serve.Server
-	// ServeConfig tunes one CampaignServer. JournalPath arms the
-	// write-ahead job journal: accepted submissions are fsync'd before
-	// the 202 answers, duplicate Idempotency-Key POSTs replay the
-	// original job, and a restarted server re-admits interrupted jobs.
-	ServeConfig = serve.Config
-	// ServeLimits bounds what one campaign submission may ask for.
-	ServeLimits = serve.Limits
-	// ServeRequest is the wire form of one campaign submission.
-	ServeRequest = serve.Request
-	// ServeJournalReport summarizes a journal replay: entries kept,
-	// unverifiable records dropped, orphans ignored, quarantined files.
-	ServeJournalReport = serve.JournalLoadReport
-)
-
-// NewCampaignServer builds a CampaignServer, loading (or creating) the
-// shared cross-tenant result cache when ServeConfig.CheckpointPath is
-// set and replaying the write-ahead job journal when
-// ServeConfig.JournalPath is set.
-func NewCampaignServer(cfg ServeConfig) (*CampaignServer, error) { return serve.New(cfg) }
-
-// Observability types: the dependency-free flight recorder (see
-// internal/obs and DESIGN.md §13). Metrics are process-wide atomics
-// rendered in Prometheus text exposition; spans record campaign cells,
-// run attempts, checkpoint flushes and serve jobs as Chrome trace-event
-// JSON. Instrumentation is strictly write-only — simulation results are
-// byte-identical with it on or off — and the hot activation path stays
-// allocation-free with metrics enabled (sampled flushes, no per-act
-// atomics).
-type (
-	// MetricsRegistry holds named counter/gauge/histogram families.
-	MetricsRegistry = obs.Registry
-	// MetricCounter is a monotonically increasing atomic counter.
-	MetricCounter = obs.Counter
-	// MetricGauge is an atomic instantaneous value.
-	MetricGauge = obs.Gauge
-	// MetricHistogram is a fixed-bucket atomic histogram.
-	MetricHistogram = obs.Histogram
-	// Tracer records spans into a bounded in-memory buffer.
-	Tracer = obs.Tracer
-	// TraceSpan is one in-flight span; its zero value is a valid no-op.
-	TraceSpan = obs.Span
-)
-
-// DefaultMetrics returns the process-wide metric registry every
-// instrumented seam writes into; the serve layer exposes it at
-// GET /metrics and cmd/experiments dumps it with -metrics-out.
-func DefaultMetrics() *MetricsRegistry { return obs.Default }
-
-// WriteMetrics renders the default registry in Prometheus text
-// exposition format (version 0.0.4).
-func WriteMetrics(w io.Writer) error { return obs.Default.WritePrometheus(w) }
-
-// SetMetricsEnabled toggles the sampled hot-path metric flushes.
-// Disabling never changes simulation results — instrumentation is
-// write-only either way — it only silences the counters.
-func SetMetricsEnabled(on bool) { obs.SetMetricsEnabled(on) }
-
-// MetricsEnabled reports whether the sampled metric flushes are on.
-func MetricsEnabled() bool { return obs.MetricsEnabled() }
-
-// NewTracer returns an empty span tracer.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// SetTracer installs t as the process-wide tracer (nil disables span
-// recording; spans become free no-ops).
-func SetTracer(t *Tracer) { obs.SetTracer(t) }
-
-// CurrentTracer returns the installed tracer, or nil when tracing is
-// off.
-func CurrentTracer() *Tracer { return obs.CurrentTracer() }
-
-// StartSpan opens a span on the installed tracer (a no-op Span when
-// tracing is off). End it to record the duration.
-func StartSpan(name, category string, kv ...string) TraceSpan {
-	return obs.StartSpan(name, category, kv...)
-}
-
-// SetObsEventSink directs the structured key=value event log
-// (retry/breaker/DEGRADED/quarantine transitions) to w; nil disables
-// it.
-func SetObsEventSink(w io.Writer) { obs.SetEventSink(w) }

@@ -62,21 +62,6 @@ func TestFacadeDirectConstructors(t *testing.T) {
 	}
 }
 
-func TestFacadeDeviceAndController(t *testing.T) {
-	dev, err := NewDevice(ScaledParams(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := NewController(dev, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.AccessRow(0, 100, false)
-	if dev.Stats().Activates != 1 {
-		t.Fatal("controller did not drive the device")
-	}
-}
-
 func TestFacadeEndToEnd(t *testing.T) {
 	cfg := DefaultSimConfig()
 	cfg.Windows = 1
