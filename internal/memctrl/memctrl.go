@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 
-	"tivapromi/internal/addr"
 	"tivapromi/internal/dram"
 	"tivapromi/internal/mitigation"
 )
@@ -148,12 +147,6 @@ func (c *Controller) AccessRow(bank, row int, write bool) {
 	}
 	c.advance(c.cfg.RowMissNs)
 	c.drain()
-}
-
-// AccessAddr decodes a physical address with the mapper and services it.
-func (c *Controller) AccessAddr(m *addr.Mapper, pa uint64, write bool) {
-	coord := m.Decode(pa)
-	c.AccessRow(coord.FlatBank(m.Geometry()), coord.Row, write)
 }
 
 // closeRow is the controller's after-execute step: the maintenance

@@ -3,7 +3,6 @@ package memctrl
 import (
 	"testing"
 
-	"tivapromi/internal/addr"
 	"tivapromi/internal/dram"
 	"tivapromi/internal/mitigation"
 	"tivapromi/internal/mitigation/cra"
@@ -173,20 +172,6 @@ func TestPendingBufferOverflowStalls(t *testing.T) {
 	}
 	if s.PendingPeak != 4 {
 		t.Fatalf("pending peak = %d, want cap 4", s.PendingPeak)
-	}
-}
-
-func TestAccessAddrDecodes(t *testing.T) {
-	g := addr.Geometry{Channels: 1, Ranks: 1, Banks: 2, Rows: 4096, Cols: 128, BusBytes: 64}
-	m, err := addr.NewMapper(g, addr.RowBankCol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCtl(t, nil)
-	pa := m.RowAddress(1, 300)
-	c.AccessAddr(m, pa, false)
-	if c.OpenRow(1) != 300 {
-		t.Fatalf("decoded access opened row %d in bank 1", c.OpenRow(1))
 	}
 }
 

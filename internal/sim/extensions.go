@@ -30,15 +30,10 @@ type ExtVulnReport struct {
 	SaturationRatio float64
 }
 
-// AnalyzeExtension runs all probes for one technique (works for the
+// AnalyzeExtensionCtx runs all probes for one technique (works for the
 // paper's nine too; the classification additionally flags decoy or
-// saturation collapse).
-func AnalyzeExtension(technique string, p dram.Params, seed uint64) (ExtVulnReport, error) {
-	return AnalyzeExtensionCtx(context.Background(), technique, p, seed)
-}
-
-// AnalyzeExtensionCtx is AnalyzeExtension with cooperative cancellation
-// threaded through every probe.
+// saturation collapse), with cooperative cancellation threaded through
+// every probe.
 func AnalyzeExtensionCtx(ctx context.Context, technique string, p dram.Params, seed uint64) (ExtVulnReport, error) {
 	base, err := AnalyzeVulnerabilityCtx(ctx, technique, p, seed)
 	if err != nil {

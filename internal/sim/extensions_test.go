@@ -101,7 +101,7 @@ func TestAnalyzeExtensionClassifications(t *testing.T) {
 	p := dram.PaperParams()
 	want := map[string]bool{"CAT": true, "QuaPRoMi": true, "TRR": false}
 	for name, vulnerable := range want {
-		rep, err := AnalyzeExtension(name, p, 7)
+		rep, err := AnalyzeExtensionCtx(context.Background(), name, p, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

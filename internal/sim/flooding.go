@@ -143,18 +143,3 @@ func protects(cmds []mitigation.Command, row int) bool {
 	}
 	return false
 }
-
-// FloodAll runs the flooding experiment for every technique in Table III
-// order. Library convenience; the experiment driver runs the same cells
-// in parallel through campaign.FloodingSpec instead.
-func FloodAll(p dram.Params, rate, trials int, seed uint64) ([]FloodResult, error) {
-	var out []FloodResult
-	for _, name := range TechniqueNames() {
-		r, err := Flood(name, p, rate, trials, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -73,17 +73,6 @@ func TestFloodCountersDeterministic(t *testing.T) {
 	}
 }
 
-func TestFloodAllCoversNineTechniques(t *testing.T) {
-	p := floodParams()
-	res, err := FloodAll(p, 100, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 9 {
-		t.Fatalf("FloodAll returned %d results", len(res))
-	}
-}
-
 func TestProtectsClassification(t *testing.T) {
 	cases := []struct {
 		cmd  mitigation.Command

@@ -89,19 +89,6 @@ func AnalyzeVulnerabilityCtx(ctx context.Context, technique string, p dram.Param
 	return rep, nil
 }
 
-// AnalyzeAll runs AnalyzeVulnerability for all nine techniques.
-func AnalyzeAll(p dram.Params, seed uint64) ([]VulnReport, error) {
-	var out []VulnReport
-	for _, name := range TechniqueNames() {
-		r, err := AnalyzeVulnerability(name, p, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // floodSurvival computes probe 1. The TiVaPRoMi variants and PARA have
 // closed-form survival products (their per-decision probabilities are
 // deterministic functions of time); the remaining techniques are floods

@@ -10,7 +10,8 @@ import (
 
 // TestReadmeLayoutMatchesTree keeps README's Layout block honest: every
 // path it lists exists, and it lists every top-level directory, every
-// command under cmd/ and every package directory under internal/.
+// command under cmd/ and every package directory under internal/. It
+// holds DESIGN.md's module table (§3) to the same tree.
 //
 // An entry line starts with its path column (comma-separated names ended
 // by a double space); an entry indented two spaces under a directory
@@ -73,6 +74,44 @@ func TestReadmeLayoutMatchesTree(t *testing.T) {
 	for path := range want {
 		if !listed[path] {
 			t.Errorf("README Layout does not list %s/", path)
+		}
+	}
+	checkModuleTable(t, want)
+}
+
+// checkModuleTable requires DESIGN.md §3's module table to have a row for
+// every command and internal package in want, and every path the table
+// names to exist. A row names its path in its first backticked cell; the
+// root package's row names the module.
+func checkModuleTable(t *testing.T, want map[string]bool) {
+	t.Helper()
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(raw), "\n## 3. ")
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		rest, ok := strings.CutPrefix(line, "| `")
+		if !ok {
+			continue
+		}
+		path, _, _ := strings.Cut(rest, "`")
+		if path == "tivapromi" {
+			path = "."
+		}
+		rows[path] = true
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("DESIGN.md §3 has a row for %s, which the tree does not have", path)
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("DESIGN.md §3 has no module table")
+	}
+	for path := range want {
+		if (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) && !rows[path] {
+			t.Errorf("DESIGN.md §3 has no row for %s", path)
 		}
 	}
 }
