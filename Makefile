@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench experiments fig4 serve serve-smoke obs-smoke clean
+.PHONY: all build fmt-check vet test test-short test-debugasserts race check chaos serve-chaos bench experiments fig4 serve serve-smoke obs-smoke snapshot-check clean
 
 all: build vet test
 
@@ -99,6 +99,13 @@ obs-smoke:
 	$(GO) run ./scripts/obscheck -metrics obs-metrics.txt -trace obs-trace.json \
 	  -require-metrics tivapromi_accesses_total,tivapromi_acts_total,tivapromi_cells_completed_total,tivapromi_run_attempts_total,tivapromi_dedup_hits_total \
 	  -require-spans cell,run-attempt
+
+# Snapshot gate: `experiments all` must equal experiments_output.txt and
+# the durable grid (-seeds 2 -windows 2 -trials 5, every section but
+# latency) must equal bench/golden/eval-durable.txt, byte for byte. Reads
+# both snapshots, never writes them; not part of `make check`.
+snapshot-check:
+	GO=$(GO) bash scripts/snapshot_check.sh
 
 clean:
 	$(GO) clean ./...

@@ -14,6 +14,8 @@
 //	experiments thresholds       — flood-survival margins at modern flip thresholds
 //	experiments faults           — degradation table: every mitigation under injected faults
 //	experiments all              — everything above, as one merged campaign
+//	experiments table1 flooding  — any list of the sections above, as one
+//	                               merged campaign rendered in list order
 //	experiments chaos            — crash-consistency torture: run a real
 //	                               campaign against a fault-injecting
 //	                               filesystem, kill it at randomized
@@ -365,10 +367,37 @@ func parseGeometry(s string) (dram.Params, error) {
 	return p, nil
 }
 
+// parseArgs resolves the positional arguments. "all", "chaos",
+// "serve-chaos" and "serve" stand alone and come back as cmd; any other
+// list names sections, returned to run as one merged campaign ("all" runs
+// every section the same way).
+func parseArgs(args []string) (cmd string, sections []string, err error) {
+	if len(args) == 0 {
+		return "", nil, errors.New("no experiment given")
+	}
+	switch args[0] {
+	case "all", "chaos", "serve-chaos", "serve":
+		if len(args) > 1 {
+			return "", nil, fmt.Errorf("%s takes no further arguments, got %q", args[0], args[1:])
+		}
+		if args[0] == "all" {
+			return "", sectionNames(), nil
+		}
+		return args[0], nil, nil
+	}
+	for _, name := range args {
+		if _, ok := report.Section(name); !ok {
+			return "", nil, fmt.Errorf("unknown experiment %q", name)
+		}
+	}
+	return "", args, nil
+}
+
 func main() {
 	flag.Parse()
-	cmd := flag.Arg(0)
-	if cmd == "" {
+	cmd, sections, err := parseArgs(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -441,10 +470,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var err error
 	switch cmd {
-	case "all":
-		err = a.runSections(ctx, sectionNames())
+	case "":
+		err = a.runSections(ctx, sections)
 	case "chaos", "serve-chaos":
 		cfg := chaostest.Config{
 			Seed:    *chSeed,
@@ -476,13 +504,6 @@ func main() {
 			DrainTimeout:    *drainTO,
 			Log:             os.Stderr,
 		})
-	default:
-		if _, ok := report.Section(cmd); !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cmd)
-			flag.Usage()
-			os.Exit(2)
-		}
-		err = a.runSections(ctx, []string{cmd})
 	}
 	// Artifacts are written on every exit path — a DEGRADED or failed run
 	// is exactly when the operator wants the flight recorder.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,6 +248,44 @@ func firstDiff(a, b string) string {
 		return "outputs differ in length"
 	}
 	return "outputs identical"
+}
+
+// TestParseArgs pins the positional grammar: a list of sections runs
+// every one of them, in order; an unknown name anywhere in the list, or
+// anything after a standalone command, is refused.
+func TestParseArgs(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		cmd      string
+		sections []string
+		ok       bool
+	}{
+		{args: []string{"table1", "table2"}, sections: []string{"table1", "table2"}, ok: true},
+		{args: []string{"flooding"}, sections: []string{"flooding"}, ok: true},
+		{args: []string{"all"}, sections: sectionNames(), ok: true},
+		{args: []string{"serve"}, cmd: "serve", ok: true},
+		{args: []string{"chaos"}, cmd: "chaos", ok: true},
+		{args: []string{"serve-chaos"}, cmd: "serve-chaos", ok: true},
+		{args: nil},
+		{args: []string{"table1", "bogus"}},
+		{args: []string{"bogus", "table1"}},
+		{args: []string{"all", "table1"}},
+		{args: []string{"chaos", "table1"}},
+		{args: []string{"serve-chaos", "serve"}},
+		{args: []string{"serve", "table1"}},
+		{args: []string{"table1", "all"}},
+	} {
+		cmd, sections, err := parseArgs(tc.args)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("parseArgs(%q) accepted: cmd %q sections %q", tc.args, cmd, sections)
+			}
+			continue
+		}
+		if err != nil || cmd != tc.cmd || !slices.Equal(sections, tc.sections) {
+			t.Errorf("parseArgs(%q) = %q, %q, %v; want %q, %q", tc.args, cmd, sections, err, tc.cmd, tc.sections)
+		}
+	}
 }
 
 // TestParseGeometry pins the -geometry grammar: exactly four decimal

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -475,11 +476,6 @@ func TestRunnerDeadlinePropagation(t *testing.T) {
 }
 
 func TestFaultSweepGridShape(t *testing.T) {
-	r := NewRunner()
-	r.Config.runFn = func(_ context.Context, c Config, tech string) (Result, error) {
-		return Result{Technique: tech, Seed: c.Seed, TotalActs: 100,
-			Flips: int(uint64(c.Fault.Model)) /* distinguish models */}, nil
-	}
 	sc := FaultSweepConfig{
 		Base:       fastConfig(),
 		Techniques: []string{"PARA", "TWiCe"},
@@ -487,23 +483,19 @@ func TestFaultSweepGridShape(t *testing.T) {
 		Rates:      []float64{0.1, 0.2},
 		Seeds:      []uint64{1, 2},
 	}
-	pts, err := FaultSweep(context.Background(), r, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// None contributes 1 point per technique, others 2 (rates).
+	cells := sc.Cells()
+	// None contributes 1 cell per technique, others 2 (rates).
 	want := 2 * (1 + (len(sc.Models)-1)*2)
-	if len(pts) != want {
-		t.Fatalf("grid has %d points, want %d", len(pts), want)
+	if len(cells) != want {
+		t.Fatalf("grid has %d cells, want %d", len(cells), want)
 	}
-	if pts[0].Technique != "PARA" || pts[0].Rate != 0 {
-		t.Fatalf("first point %+v, want PARA baseline", pts[0])
+	if cells[0] != (FaultCell{Technique: "PARA", Model: faults.None}) {
+		t.Fatalf("first cell %+v, want PARA baseline", cells[0])
 	}
-}
-
-func TestFaultSweepValidation(t *testing.T) {
-	if _, err := FaultSweep(context.Background(), nil, FaultSweepConfig{}); err == nil {
-		t.Fatal("empty sweep accepted")
+	for _, c := range cells {
+		if k := sc.Canonical(c); !slices.Contains(cells, k) {
+			t.Errorf("cell %+v maps to %+v, which is not in the grid", c, k)
+		}
 	}
 }
 
@@ -523,14 +515,20 @@ func TestFaultSweepDeterministic(t *testing.T) {
 		Seeds:      []uint64{1},
 		FaultSeed:  7,
 	}
-	a, err := FaultSweep(context.Background(), nil, sc)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func() []FaultPoint {
+		r := NewRunner() // a fresh runner each time: nothing memoized
+		var points []FaultPoint
+		for _, c := range sc.Cells() {
+			k := sc.Canonical(c)
+			sum, runErrs, err := r.RunSeeds(context.Background(), sc.CellConfig(k), k.Technique, sc.Seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points = append(points, FaultPointOf(c.Technique, c.Model, c.Rate, sum, len(runErrs)))
+		}
+		return points
 	}
-	b, err := FaultSweep(context.Background(), nil, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := sweep(), sweep()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("fault sweep not deterministic:\n a %+v\n b %+v", a, b)
 	}

@@ -69,40 +69,26 @@ func decoyProbe(ctx context.Context, technique string, p dram.Params, seed uint6
 	if err != nil {
 		return 0, err
 	}
-	target := mitigation.Target{
-		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
-		FlipThreshold: p.FlipThreshold,
-	}
 	victim := p.RowsPerBank / 4
 	run := func(decoys int) (float64, error) {
-		m := factory(target, seed)
-		victims := map[int]bool{victim: true}
-		protections, aggActs := 0, 0
-		var cmds []mitigation.Command
-		for iv := 0; iv < p.RefInt; iv++ {
-			if iv&0x3f == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
+		// Each interval alternates the aggressor pair from its low side,
+		// every aggressor activation followed by a fixed small decoy set,
+		// so each decoy row runs twice as hot as each aggressor row —
+		// exactly what dominates a frequency sampler.
+		aggActs := p.MaxActsPerRI/(1+decoys) + 1
+		var rows []int
+		for i := 0; i < aggActs; i++ {
+			rows = append(rows, victim-1+2*(i&1))
+			for d := 0; d < decoys; d++ {
+				rows = append(rows, p.RowsPerBank/2+2*d)
 			}
-			for i := 0; i < p.MaxActsPerRI/(1+decoys)+1; i++ {
-				row := victim - 1 + 2*(i&1)
-				aggActs++
-				cmds = m.OnActivate(0, row, iv, cmds[:0])
-				protections += countProtections(cmds, victims)
-				// A fixed small decoy set, so each decoy row runs twice
-				// as hot as each aggressor row — exactly what dominates a
-				// frequency sampler.
-				for d := 0; d < decoys; d++ {
-					decoy := p.RowsPerBank/2 + 2*d
-					cmds = m.OnActivate(0, decoy, iv, cmds[:0])
-					protections += countProtections(cmds, victims)
-				}
-			}
-			cmds = m.OnRefreshInterval(iv, cmds[:0])
-			protections += countProtections(cmds, victims)
 		}
-		return float64(protections) / float64(aggActs), nil
+		a := attack{intervals: p.RefInt, rows: rows, perInterval: len(rows), victims: []int{victim}}
+		o, err := a.run(ctx, factory(bankTarget(p), seed), p)
+		if err != nil {
+			return 0, err
+		}
+		return float64(o.onAct+o.onRefresh) / float64(aggActs*p.RefInt), nil
 	}
 	focused, err := run(0)
 	if err != nil {
@@ -127,51 +113,43 @@ func saturationProbe(ctx context.Context, technique string, p dram.Params, seed 
 	if err != nil {
 		return 0, err
 	}
-	target := mitigation.Target{
-		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
-		FlipThreshold: p.FlipThreshold,
-	}
-	victim := p.RowsPerBank / 4
-	run := func(prefill bool) (float64, error) {
-		m := factory(target, seed)
-		victims := map[int]bool{victim: true}
-		protections, acts := 0, 0
-		var cmds []mitigation.Command
-		stride := p.RowsPerBank / 512
-		pos := 0
-		half := p.RefInt / 2
-		for iv := 0; iv < p.RefInt; iv++ {
-			if iv&0x3f == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			for i := 0; i < p.MaxActsPerRI; i++ {
-				// Phase 1 (first half window): fill the structure with
-				// spread activations — the paper's "fill all the levels
-				// of the tree" pattern. Phase 2: hammer the victim and
-				// measure protection.
-				if iv < half {
-					if !prefill {
-						continue
-					}
-					row := (pos * stride) % p.RowsPerBank
-					pos++
-					cmds = m.OnActivate(0, row, iv, cmds[:0])
-					protections += countProtections(cmds, victims)
-					continue
-				}
-				row := victim - 1 + 2*(i&1)
-				acts++
-				cmds = m.OnActivate(0, row, iv, cmds[:0])
-				protections += countProtections(cmds, victims)
-			}
-			cmds = m.OnRefreshInterval(iv, cmds[:0])
-			if iv >= half {
-				protections += countProtections(cmds, victims)
-			}
+	victims := []int{p.RowsPerBank / 4}
+	half := p.RefInt / 2
+	// Phase 1 (first half window): fill the structure with spread
+	// activations — the paper's "fill all the levels of the tree"
+	// pattern — or stay idle. Phase 2: hammer the victim, alternating the
+	// aggressor pair from its low side each interval, and measure
+	// protection.
+	var spread []int
+	stride := p.RowsPerBank / 512
+	for row := 0; ; {
+		spread = append(spread, row)
+		if row = (row + stride) % p.RowsPerBank; row == 0 {
+			break
 		}
-		return float64(protections) / float64(acts), nil
+	}
+	hammer := make([]int, p.MaxActsPerRI)
+	for i := range hammer {
+		hammer[i] = victims[0] - 1 + 2*(i&1)
+	}
+	run := func(prefill bool) (float64, error) {
+		m := factory(bankTarget(p), seed)
+		fill := attack{intervals: half, rows: spread, victims: victims}
+		if prefill {
+			fill.perInterval = p.MaxActsPerRI
+		}
+		pre, err := fill.run(ctx, m, p)
+		if err != nil {
+			return 0, err
+		}
+		hit := attack{start: half, intervals: p.RefInt - half, rows: hammer, perInterval: len(hammer), victims: victims}
+		o, err := hit.run(ctx, m, p)
+		if err != nil {
+			return 0, err
+		}
+		// Protections by phase-1 activations count; those by phase-1
+		// refreshes do not.
+		return float64(pre.onAct+o.onAct+o.onRefresh) / float64(o.acts), nil
 	}
 	clean, err := run(false)
 	if err != nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"fmt"
 	"slices"
 	"sync"
 
@@ -84,14 +82,6 @@ func (sc FaultSweepConfig) Cells() []FaultCell {
 	return cells
 }
 
-// Validate reports a structurally unusable sweep configuration.
-func (sc FaultSweepConfig) Validate() error {
-	if len(sc.Techniques) == 0 || len(sc.Models) == 0 || len(sc.Seeds) == 0 {
-		return fmt.Errorf("sim: fault sweep needs techniques, models and seeds")
-	}
-	return nil
-}
-
 // Canonical returns the grid cell whose results c equals bit for bit:
 // c itself, unless its fault plan cannot reach the technique. A state
 // upset needs mitigation state to flip (mitigation.StateInjectable) and
@@ -118,8 +108,7 @@ func (sc FaultSweepConfig) reaches(c FaultCell) bool {
 	default:
 		return true // command-path and device faults act on every technique
 	}
-	t := sc.Base.Target()
-	t.Banks = 1
+	t := bankTarget(sc.Base.Params)
 	var s seam
 	switch {
 	case sc.Base.Factory != nil:
@@ -163,41 +152,6 @@ var seams sync.Map // seamKey → seam
 type seamKey struct {
 	tech   string
 	target mitigation.Target
-}
-
-// FaultSweep runs the full techniques × models × rates grid under the
-// hardened runner and returns one FaultPoint per cell, in the order of
-// Cells(). Only canonical cells are simulated; the others reuse their
-// canonical cell's summary. A nil runner uses NewRunner(). Library
-// convenience; the experiment driver schedules the same cells in
-// parallel, grouped, through campaign.FaultsSpec.
-func FaultSweep(ctx context.Context, r *Runner, sc FaultSweepConfig) ([]FaultPoint, error) {
-	if r == nil {
-		r = NewRunner()
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	var points []FaultPoint
-	canonical := make(map[FaultCell]FaultPoint)
-	for _, cell := range sc.Cells() {
-		k := sc.Canonical(cell)
-		p, ok := canonical[k]
-		if !ok {
-			sum, runErrs, err := r.RunSeeds(ctx, sc.CellConfig(k), k.Technique, sc.Seeds)
-			if err != nil {
-				return points, fmt.Errorf("sim: fault sweep %s/%s@%g: %w", k.Technique, k.Model, k.Rate, err)
-			}
-			p = FaultPointOf(k.Technique, k.Model, k.Rate, sum, len(runErrs))
-			canonical[k] = p
-		}
-		p.Model, p.Rate = cell.Model, cell.Rate
-		points = append(points, p)
-		if err := ctx.Err(); err != nil {
-			return points, err
-		}
-	}
-	return points, nil
 }
 
 // FaultPointOf converts one sweep summary into one degradation-table

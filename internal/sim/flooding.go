@@ -65,81 +65,38 @@ func FloodCtx(ctx context.Context, technique string, p dram.Params, rate, trials
 // floodWithFactory is FloodCtx for an explicit factory (ablation studies
 // run configurations that are not in the registry).
 func floodWithFactory(ctx context.Context, factory mitigation.Factory, p dram.Params, rate, trials int, seed uint64) (FloodResult, error) {
-	target := mitigation.Target{
-		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
-		FlipThreshold: p.FlipThreshold,
-	}
 	res := FloodResult{
 		Trials:    trials,
 		SafeBound: uint64(p.FlipThreshold) / 2,
 		Cap:       uint64(p.FlipThreshold) * 2,
 	}
 	row := p.RowsPerBank / 2
-	fr := p.RefreshIntervalOf(row)
-	firsts := make([]float64, 0, trials)
-	var cmds []mitigation.Command
-	for trial := 0; trial < trials; trial++ {
-		m := factory(target, seed+uint64(trial)*7919)
-		acts := uint64(0)
-		protectedAt := uint64(0)
-	flood:
+	flood := attack{
 		// Start exactly at the row's refresh slot: weight 0, the phase a
 		// weight-aware attacker would choose.
-		for interval := 0; ; interval++ {
-			if interval&0x3f == 0 {
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
-			}
-			iv := (fr + interval) % p.RefInt
-			for i := 0; i < rate; i++ {
-				acts++
-				cmds = m.OnActivate(0, row, iv, cmds[:0])
-				if protects(cmds, row) {
-					protectedAt = acts
-					break flood
-				}
-			}
-			cmds = m.OnRefreshInterval(iv, cmds[:0])
-			if protects(cmds, row) {
-				protectedAt = acts
-				break flood
-			}
-			if iv == p.RefInt-1 {
-				m.OnNewWindow()
-			}
-			if acts >= res.Cap {
-				break
-			}
+		start: p.RefreshIntervalOf(row),
+		// Whole intervals until the cap is reached.
+		intervals:   int((res.Cap + uint64(rate) - 1) / uint64(rate)),
+		rows:        []int{row},
+		perInterval: rate,
+		victims:     []int{row - 1, row + 1},
+		untilFirst:  true,
+	}
+	firsts := make([]float64, 0, trials)
+	for trial := 0; trial < trials; trial++ {
+		o, err := flood.run(ctx, factory(bankTarget(p), seed+uint64(trial)*7919), p)
+		if err != nil {
+			return res, err
 		}
-		if protectedAt == 0 {
+		if o.first == 0 {
 			res.Unprotected++
 			continue
 		}
-		firsts = append(firsts, float64(protectedAt))
+		firsts = append(firsts, float64(o.first))
 	}
 	if len(firsts) > 0 {
 		res.MedianActs = stats.Median(firsts)
 		res.P90Acts = stats.Percentile(firsts, 90)
 	}
 	return res, nil
-}
-
-// protects reports whether any command in cmds restores the potential
-// victims of aggressor row (an act_n on the row itself, a one-sided
-// neighbor activation, or a direct refresh of row±1).
-func protects(cmds []mitigation.Command, row int) bool {
-	for _, c := range cmds {
-		switch c.Kind {
-		case mitigation.ActN, mitigation.ActNOne:
-			if c.Row == row {
-				return true
-			}
-		case mitigation.RefreshRow:
-			if c.Row == row-1 || c.Row == row+1 {
-				return true
-			}
-		}
-	}
-	return false
 }

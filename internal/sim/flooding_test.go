@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tivapromi/internal/dram"
-	"tivapromi/internal/mitigation"
 )
 
 // floodParams keeps flooding tests fast: scaled device, full structure.
@@ -70,28 +69,5 @@ func TestFloodCountersDeterministic(t *testing.T) {
 		if !f.AllSafe() {
 			t.Errorf("%s not flood-safe", name)
 		}
-	}
-}
-
-func TestProtectsClassification(t *testing.T) {
-	cases := []struct {
-		cmd  mitigation.Command
-		row  int
-		want bool
-	}{
-		{mitigation.Command{Kind: mitigation.ActN, Row: 100}, 100, true},
-		{mitigation.Command{Kind: mitigation.ActN, Row: 101}, 100, false},
-		{mitigation.Command{Kind: mitigation.ActNOne, Row: 100}, 100, true},
-		{mitigation.Command{Kind: mitigation.RefreshRow, Row: 99}, 100, true},
-		{mitigation.Command{Kind: mitigation.RefreshRow, Row: 101}, 100, true},
-		{mitigation.Command{Kind: mitigation.RefreshRow, Row: 100}, 100, false},
-	}
-	for i, c := range cases {
-		if got := protects([]mitigation.Command{c.cmd}, c.row); got != c.want {
-			t.Errorf("case %d: protects = %v, want %v", i, got, c.want)
-		}
-	}
-	if protects(nil, 100) {
-		t.Error("empty command list protects")
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"tivapromi/internal/core"
 	"tivapromi/internal/dram"
 )
 
@@ -48,8 +47,8 @@ func ThresholdSweep(p dram.Params, thresholds []uint32) []ThresholdPoint {
 	return out
 }
 
-// analyticSurvival mirrors floodSurvival's closed forms but covers all
-// nine techniques so the sweep needs no Monte-Carlo:
+// analyticSurvival extends closedFormSurvival to all nine techniques so
+// the sweep needs no Monte-Carlo:
 //
 //   - the TiVaPRoMi variants and PARA use their exact decision laws;
 //   - TWiCe and CRA trigger deterministically at FlipThreshold/4, which a
@@ -61,36 +60,11 @@ func ThresholdSweep(p dram.Params, thresholds []uint32) []ThresholdPoint {
 //   - MRLoc's victim is queue-resident under a focused flood with a
 //     near-head recency weight, a constant per-activation probability.
 func analyticSurvival(technique string, p dram.Params) float64 {
-	rate := p.MaxActsPerRI
-	threshold := float64(p.FlipThreshold)
-	pbase := math.Exp2(-float64(core.ProbBits(p.RefInt)))
-	intervals := int(threshold/float64(rate)) + 1
-
-	perActSeries := func(weightAt func(j int) float64) float64 {
-		ls, acts := 0.0, 0.0
-		for j := 0; j < intervals; j++ {
-			n := math.Min(float64(rate), threshold-acts)
-			ls += n * math.Log1p(-math.Min(weightAt(j)*pbase, 1-1e-15))
-			acts += n
-		}
-		return math.Exp(ls)
+	if s, ok := closedFormSurvival(technique, p); ok {
+		return s
 	}
-
+	threshold := float64(p.FlipThreshold)
 	switch technique {
-	case "LiPRoMi":
-		return perActSeries(func(j int) float64 { return float64(j) })
-	case "LoPRoMi", "LoLiPRoMi":
-		return perActSeries(func(j int) float64 { return float64(core.LogWeight(j)) })
-	case "CaPRoMi":
-		ls := 0.0
-		for j := 0; j < intervals; j++ {
-			w := float64(rate) * float64(core.LogWeight(j))
-			ls += math.Log1p(-math.Min(w*pbase, 1-1e-15))
-		}
-		return math.Exp(ls)
-	case "PARA":
-		perAct := float64(p.RefInt) * pbase / 2 // one-sided refresh
-		return math.Exp(threshold * math.Log1p(-perAct))
 	case "MRLoc":
 		// Focused flood: the victim rides near the short queue's head;
 		// weight ≈ 2*base*(pos+1)/(Q+1) with pos ≈ 2 of Q = 16.

@@ -89,68 +89,76 @@ func AnalyzeVulnerabilityCtx(ctx context.Context, technique string, p dram.Param
 	return rep, nil
 }
 
-// floodSurvival computes probe 1. The TiVaPRoMi variants and PARA have
-// closed-form survival products (their per-decision probabilities are
-// deterministic functions of time); the remaining techniques are floods
-// with Monte-Carlo confirmation (they protect deterministically or at
-// rates whose tails vanish, so 64 trials resolve them).
+// floodSurvival computes probe 1: the closed form where the technique
+// has one, else a Monte-Carlo flood (the tracking/counter techniques
+// protect deterministically or at rates whose tails vanish, so 64 trials
+// resolve them).
 func floodSurvival(ctx context.Context, technique string, p dram.Params, seed uint64) (float64, error) {
-	rate := p.MaxActsPerRI
-	threshold := float64(p.FlipThreshold)
-	pbase := math.Exp2(-float64(core.ProbBits(p.RefInt)))
-	intervals := int(threshold/float64(rate)) + 1
-
-	logSurvive := func(weightAt func(j int) float64, perInterval bool) float64 {
-		ls := 0.0
-		acts := 0.0
-		for j := 0; j < intervals; j++ {
-			w := weightAt(j)
-			if perInterval {
-				ls += math.Log1p(-math.Min(w*pbase, 1-1e-15))
-			} else {
-				n := math.Min(float64(rate), threshold-acts)
-				ls += n * math.Log1p(-math.Min(w*pbase, 1-1e-15))
-				acts += n
-			}
-		}
-		return math.Exp(ls)
+	if s, ok := closedFormSurvival(technique, p); ok {
+		return s, nil
 	}
-
-	switch technique {
-	case "LiPRoMi":
-		return logSurvive(func(j int) float64 { return float64(j) }, false), nil
-	case "LoPRoMi", "LoLiPRoMi":
-		// Until the first trigger LoLiPRoMi behaves exactly like LoPRoMi
-		// (the linear path requires a history hit).
-		return logSurvive(func(j int) float64 { return float64(core.LogWeight(j)) }, false), nil
-	case "QuaPRoMi":
-		return logSurvive(func(j int) float64 {
-			return float64(core.QuadWeight(j, p.RefInt))
-		}, false), nil
-	case "CaPRoMi":
-		// One collective decision per interval with p = cnt * w_log * Pbase.
-		return logSurvive(func(j int) float64 {
-			return float64(rate) * float64(core.LogWeight(j))
-		}, true), nil
-	case "PARA":
-		// Each act triggers with p = RefInt*Pbase and protects a given
-		// victim only when the random side points at it.
-		perAct := float64(p.RefInt) * pbase / 2
-		return math.Exp(threshold * math.Log1p(-perAct)), nil
-	}
-
-	// Monte-Carlo for the tracking/counter techniques.
-	fr, err := FloodCtx(ctx, technique, p, rate, 64, seed)
+	fr, err := FloodCtx(ctx, technique, p, p.MaxActsPerRI, 64, seed)
 	if err != nil {
 		return 0, err
 	}
 	if fr.Unprotected > 0 {
 		return 1, nil
 	}
-	if fr.P90Acts <= threshold/2 {
+	if fr.P90Acts <= float64(p.FlipThreshold)/2 {
 		return 0, nil
 	}
 	return float64(fr.Unprotected) / float64(fr.Trials), nil
+}
+
+// closedFormSurvival is the exact probability that a weight-aware
+// maximum-rate flood, started at weight 0, reaches FlipThreshold
+// activations unprotected, for the techniques whose per-decision
+// probability is a deterministic function of time: the TiVaPRoMi
+// variants and PARA. ok is false for every other technique.
+//
+// PARA's term uses p/2, the chance that one given victim is protected
+// (the random side must point at it); its Monte-Carlo flood counts a
+// protection of either victim, which halves the expected wait.
+func closedFormSurvival(technique string, p dram.Params) (s float64, ok bool) {
+	rate := p.MaxActsPerRI
+	threshold := float64(p.FlipThreshold)
+	pbase := math.Exp2(-float64(core.ProbBits(p.RefInt)))
+	perInterval := false
+	var weightAt func(j int) float64
+	switch technique {
+	case "LiPRoMi":
+		weightAt = func(j int) float64 { return float64(j) }
+	case "LoPRoMi", "LoLiPRoMi":
+		// Until the first trigger LoLiPRoMi behaves exactly like LoPRoMi
+		// (the linear path requires a history hit).
+		weightAt = func(j int) float64 { return float64(core.LogWeight(j)) }
+	case "QuaPRoMi":
+		weightAt = func(j int) float64 { return float64(core.QuadWeight(j, p.RefInt)) }
+	case "CaPRoMi":
+		// One collective decision per interval with p = cnt * w_log * Pbase.
+		perInterval = true
+		weightAt = func(j int) float64 { return float64(rate) * float64(core.LogWeight(j)) }
+	case "PARA":
+		// Each act triggers with p = RefInt*Pbase and protects a given
+		// victim only when the random side points at it.
+		perAct := float64(p.RefInt) * pbase / 2
+		return math.Exp(threshold * math.Log1p(-perAct)), true
+	default:
+		return 0, false
+	}
+	intervals := int(threshold/float64(rate)) + 1
+	ls, acts := 0.0, 0.0
+	for j := 0; j < intervals; j++ {
+		miss := math.Log1p(-math.Min(weightAt(j)*pbase, 1-1e-15))
+		if perInterval {
+			ls += miss
+			continue
+		}
+		n := math.Min(float64(rate), threshold-acts)
+		ls += n * miss
+		acts += n
+	}
+	return math.Exp(ls), true
 }
 
 // rotationProbe computes probe 2 (and reports non-escalation for probe 3).
@@ -162,45 +170,22 @@ func rotationProbe(ctx context.Context, technique string, p dram.Params, seed ui
 	if err != nil {
 		return 0, false, err
 	}
-	target := mitigation.Target{
-		Banks: 1, RowsPerBank: p.RowsPerBank, RefInt: p.RefInt,
-		FlipThreshold: p.FlipThreshold,
-	}
-	if esc, ok := factory(target, seed).(mitigation.Escalation); ok {
+	if esc, ok := factory(bankTarget(p), seed).(mitigation.Escalation); ok {
 		nonEscalating = !esc.EscalatesUnderAttack()
 	}
 
 	run := func(victims []int) (float64, error) {
-		m := factory(target, seed)
 		// Aggressor list: both neighbors of every victim, interleaved.
 		var rows []int
 		for _, v := range victims {
 			rows = append(rows, v-1, v+1)
 		}
-		victimSet := map[int]bool{}
-		for _, v := range victims {
-			victimSet[v] = true
+		a := attack{intervals: p.RefInt, rows: rows, perInterval: p.MaxActsPerRI, victims: victims}
+		o, err := a.run(ctx, factory(bankTarget(p), seed), p)
+		if err != nil {
+			return 0, err
 		}
-		protections, acts := 0, 0
-		var cmds []mitigation.Command
-		pos := 0
-		for iv := 0; iv < p.RefInt; iv++ {
-			if iv&0x3f == 0 {
-				if err := ctx.Err(); err != nil {
-					return 0, err
-				}
-			}
-			for i := 0; i < p.MaxActsPerRI; i++ {
-				row := rows[pos%len(rows)]
-				pos++
-				acts++
-				cmds = m.OnActivate(0, row, iv, cmds[:0])
-				protections += countProtections(cmds, victimSet)
-			}
-			cmds = m.OnRefreshInterval(iv, cmds[:0])
-			protections += countProtections(cmds, victimSet)
-		}
-		return float64(protections) / float64(acts), nil
+		return float64(o.onAct+o.onRefresh) / float64(o.acts), nil
 	}
 
 	base := p.RowsPerBank / 4
@@ -221,26 +206,4 @@ func rotationProbe(ctx context.Context, technique string, p dram.Params, seed ui
 		return 0, nonEscalating, nil
 	}
 	return rotating / focused, nonEscalating, nil
-}
-
-// countProtections counts commands that restore one of the victims.
-func countProtections(cmds []mitigation.Command, victims map[int]bool) int {
-	n := 0
-	for _, c := range cmds {
-		switch c.Kind {
-		case mitigation.ActN:
-			if victims[c.Row-1] || victims[c.Row+1] {
-				n++
-			}
-		case mitigation.ActNOne:
-			if victims[c.Row+int(c.Side)] {
-				n++
-			}
-		case mitigation.RefreshRow:
-			if victims[c.Row] {
-				n++
-			}
-		}
-	}
-	return n
 }

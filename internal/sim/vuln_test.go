@@ -84,11 +84,13 @@ func TestRotationProbeEscalationFlags(t *testing.T) {
 	}
 }
 
+// TestCountProtections pins the rotation probe's view of the protection
+// rule: one victim, row 100, restored by each kind of command.
 func TestCountProtections(t *testing.T) {
-	victims := map[int]bool{100: true}
+	victims := []int{100}
 	check := func(k mitigation.CommandKind, row int, side int8, want int) {
 		t.Helper()
-		got := countProtections([]mitigation.Command{{Kind: k, Row: row, Side: side}}, victims)
+		got := protections([]mitigation.Command{{Kind: k, Row: row, Side: side}}, victims)
 		if got != want {
 			t.Errorf("kind %v row %d side %d: %d protections, want %d", k, row, side, got, want)
 		}

@@ -1,10 +1,9 @@
 // Package stats provides the small statistics toolkit used by the
-// experiment harness: streaming mean/variance (Welford), histograms,
-// percentiles, and rate meters for activation-overhead accounting.
+// experiment harness: streaming mean/variance (Welford), histograms and
+// percentiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -57,40 +56,6 @@ func (w *Welford) Merge(o *Welford) {
 	mean := w.mean + delta*float64(o.n)/float64(n)
 	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
 	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// String formats as "mean ± stddev".
-func (w *Welford) String() string {
-	return fmt.Sprintf("%.6g ± %.3g", w.Mean(), w.StdDev())
-}
-
-// Ratio is an exact counter pair for rates such as
-// "extra activations / total activations".
-type Ratio struct {
-	Num, Den uint64
-}
-
-// AddNum increments the numerator by n.
-func (r *Ratio) AddNum(n uint64) { r.Num += n }
-
-// AddDen increments the denominator by n.
-func (r *Ratio) AddDen(n uint64) { r.Den += n }
-
-// Value returns Num/Den, or 0 when the denominator is zero.
-func (r Ratio) Value() float64 {
-	if r.Den == 0 {
-		return 0
-	}
-	return float64(r.Num) / float64(r.Den)
-}
-
-// Percent returns the ratio as a percentage.
-func (r Ratio) Percent() float64 { return 100 * r.Value() }
-
-// Merge adds another ratio's counters into r.
-func (r *Ratio) Merge(o Ratio) {
-	r.Num += o.Num
-	r.Den += o.Den
 }
 
 // Histogram counts samples in uniform-width bins over [lo, hi); samples
@@ -226,13 +191,4 @@ func Median(samples []float64) float64 {
 		return s[mid]
 	}
 	return (s[mid-1] + s[mid]) / 2
-}
-
-// MeanStd returns the mean and sample standard deviation of the samples.
-func MeanStd(samples []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range samples {
-		w.Add(x)
-	}
-	return w.Mean(), w.StdDev()
 }

@@ -88,25 +88,6 @@ func TestWelfordMergeIntoEmpty(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("zero-denominator ratio not 0")
-	}
-	r.AddDen(1000)
-	r.AddNum(3)
-	if !almostEq(r.Percent(), 0.3, 1e-12) {
-		t.Fatalf("percent = %v, want 0.3", r.Percent())
-	}
-	var o Ratio
-	o.AddNum(7)
-	o.AddDen(1000)
-	r.Merge(o)
-	if r.Num != 10 || r.Den != 2000 {
-		t.Fatalf("merge: %+v", r)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 10; i++ {
@@ -192,15 +173,5 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 	Percentile(s, 50)
 	if s[0] != 3 || s[1] != 1 || s[2] != 2 {
 		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almostEq(mean, 5, 1e-12) {
-		t.Fatalf("mean = %v", mean)
-	}
-	if !almostEq(std, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("std = %v", std)
 	}
 }
